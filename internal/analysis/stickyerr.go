@@ -34,6 +34,10 @@ var stickyTargets = []stickyTarget{
 	{"internal/wire", "ConnWriter", "Send"},
 	{"internal/wire", "ConnWriter", "SendVectored"},
 	{"internal/wire", "ConnWriter", "Flush"},
+	// The deferred-send pair: a staged frame's loss surfaces only
+	// through Stage's or Push's error.
+	{"internal/wire", "ConnWriter", "Stage"},
+	{"internal/wire", "ConnWriter", "Push"},
 	// The server/controller response path: a thin wrapper over
 	// ConnWriter.Send with the same contract.
 	{"internal/netstore", "connState", "send"},

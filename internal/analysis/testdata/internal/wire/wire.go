@@ -44,3 +44,7 @@ type ConnWriter struct{ err error }
 func (w *ConnWriter) Send(m Message) error { return w.err }
 
 func (w *ConnWriter) Flush() error { return w.err }
+
+func (w *ConnWriter) Stage(m Message) error { return w.err }
+
+func (w *ConnWriter) Push() error { return w.err }

@@ -65,11 +65,18 @@ type ClassStats struct {
 	// caller cancellations; Hedged the hedge attempts fired serving
 	// this class's reads.
 	Errors, Expired, Cancelled, Hedged uint64
-	// Latency summarizes successful read latencies (ns).
+	// Latency summarizes successful read latencies (ns), each timed
+	// from the op's due time: run start + TS for a paced op, its issue
+	// for a closed-loop one. A stalled issuer is thus charged to every
+	// op that fell due during the stall instead of hiding it.
 	Latency metrics.Summary
 	// Hist is the backing read-latency histogram, mergeable across
 	// runs.
 	Hist *metrics.Histogram
+	// WriteLatency and WriteHist are the same for successful Sets and
+	// Deletes.
+	WriteLatency metrics.Summary
+	WriteHist    *metrics.Histogram
 }
 
 // Report is a run's outcome, per class (most urgent first).
@@ -80,15 +87,17 @@ type Report struct {
 }
 
 // String renders the per-class lines brb-load prints and CI greps:
-// one "class <name> (prio N): ..." line per class.
+// one "class <name> (prio N): ..." line per class. p50/p99/p999 are
+// read latencies; write_p50/write_p99 close the line.
 func (r *Report) String() string {
 	var b strings.Builder
 	for i := range r.Classes {
 		c := &r.Classes[i]
-		fmt.Fprintf(&b, "class %s (prio %d): ops=%d keys=%d p50=%.3fms p99=%.3fms p999=%.3fms err=%d expired=%d cancelled=%d hedges=%d\n",
+		fmt.Fprintf(&b, "class %s (prio %d): ops=%d keys=%d p50=%.3fms p99=%.3fms p999=%.3fms err=%d expired=%d cancelled=%d hedges=%d write_p50=%.3fms write_p99=%.3fms\n",
 			c.Class, c.Priority, c.Ops, c.KeysRead,
 			metrics.Millis(c.Latency.Median), metrics.Millis(c.Latency.P99), metrics.Millis(c.Latency.P999),
-			c.Errors, c.Expired, c.Cancelled, c.Hedged)
+			c.Errors, c.Expired, c.Cancelled, c.Hedged,
+			metrics.Millis(c.WriteLatency.Median), metrics.Millis(c.WriteLatency.P99))
 	}
 	return b.String()
 }
@@ -100,7 +109,11 @@ type classAcc struct {
 	mu                                 sync.Mutex
 	ops, keysRead, bytesWritten        uint64
 	errors, expired, cancelled, hedged uint64
-	hist                               *metrics.Histogram
+	hist, writeHist                    *metrics.Histogram
+}
+
+func newClassAcc() *classAcc {
+	return &classAcc{hist: metrics.NewLatencyHistogram(), writeHist: metrics.NewLatencyHistogram()}
 }
 
 type workerStream struct {
@@ -113,10 +126,11 @@ type workerStream struct {
 // Run executes ops against the configured stores and reports per-class
 // outcomes. classes defines the report rows and priorities (ops naming
 // a class outside the list are tallied under it anyway, priority 0).
-// Pacing: an op with TS > 0 is issued at run-start+TS (concurrently,
-// bounded by MaxInFlight); TS = 0 ops are closed-loop — issued as soon
-// as the worker's previous op completed. Cancelling ctx stops the run
-// between ops.
+// Pacing: an op with TS > 0 is due at run-start+TS and issued then
+// (concurrently, bounded by MaxInFlight); TS = 0 ops are closed-loop —
+// due and issued as soon as the worker's previous op completed.
+// Latencies run from the due time. Cancelling ctx stops the run between
+// ops.
 func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Report, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("loadgen: RunConfig.Dial is required")
@@ -159,7 +173,8 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 				}
 				op := &st.ops[i]
 				if op.TS > 0 {
-					if d := time.Until(start.Add(time.Duration(op.TS))); d > 0 {
+					due := start.Add(time.Duration(op.TS))
+					if d := time.Until(due); d > 0 {
 						t := time.NewTimer(d)
 						select {
 						case <-t.C:
@@ -179,10 +194,10 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 					go func() {
 						defer opWG.Done()
 						defer func() { <-sem }()
-						execOp(ctx, store, op, &cfg, a)
+						execOp(ctx, store, op, &cfg, a, due)
 					}()
 				} else {
-					execOp(ctx, store, op, &cfg, classAccFor(acc, op.Class))
+					execOp(ctx, store, op, &cfg, classAccFor(acc, op.Class), time.Now())
 				}
 			}
 			opWG.Wait()
@@ -205,17 +220,17 @@ func Run(ctx context.Context, classes []ClassSpec, ops []Op, cfg RunConfig) (*Re
 func classAccFor(acc map[string]*classAcc, class string) *classAcc {
 	a := acc[class]
 	if a == nil {
-		a = &classAcc{hist: metrics.NewLatencyHistogram()}
+		a = newClassAcc()
 		acc[class] = a
 	}
 	return a
 }
 
-// execOp issues one op and tallies its outcome. For paced streams
-// multiple execOps of one worker run concurrently, so updates lock the
-// accumulator; the contention is negligible next to a network round
-// trip.
-func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a *classAcc) {
+// execOp issues one op and tallies its outcome, timing it from due.
+// For paced streams multiple execOps of one worker run concurrently, so
+// updates lock the accumulator; the contention is negligible next to a
+// network round trip.
+func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a *classAcc, due time.Time) {
 	keys := make([]string, len(op.Keys))
 	for i, id := range op.Keys {
 		keys[i] = fmt.Sprintf("key:%d", id)
@@ -239,6 +254,7 @@ func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a
 		}
 		res, err = store.Multiget(ctx, keys, ropts)
 	}
+	lat := time.Since(due).Nanoseconds()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.ops++
@@ -262,10 +278,12 @@ func execOp(ctx context.Context, store netstore.Store, op *Op, cfg *RunConfig, a
 	switch op.Kind {
 	case OpSet:
 		a.bytesWritten += uint64(op.Size)
+		a.writeHist.Record(lat)
 	case OpDel:
+		a.writeHist.Record(lat)
 	default:
 		a.keysRead += uint64(len(op.Keys))
-		a.hist.Record(res.Latency.Nanoseconds())
+		a.hist.Record(lat)
 	}
 }
 
@@ -301,7 +319,7 @@ func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Dur
 		for name, a := range acc {
 			m := merged[name]
 			if m == nil {
-				m = &classAcc{hist: metrics.NewLatencyHistogram()}
+				m = newClassAcc()
 				merged[name] = m
 			}
 			m.ops += a.ops
@@ -312,6 +330,7 @@ func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Dur
 			m.cancelled += a.cancelled
 			m.hedged += a.hedged
 			m.hist.Merge(a.hist)
+			m.writeHist.Merge(a.writeHist)
 		}
 	}
 	for name := range merged {
@@ -329,7 +348,7 @@ func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Dur
 	for _, cl := range order {
 		a := merged[cl.Name]
 		if a == nil {
-			a = &classAcc{hist: metrics.NewLatencyHistogram()}
+			a = newClassAcc()
 		}
 		rep.TotalOps += a.ops
 		rep.Classes = append(rep.Classes, ClassStats{
@@ -344,6 +363,8 @@ func buildReport(classes []ClassSpec, accs []map[string]*classAcc, wall time.Dur
 			Hedged:       a.hedged,
 			Latency:      a.hist.Summarize(),
 			Hist:         a.hist,
+			WriteLatency: a.writeHist.Summarize(),
+			WriteHist:    a.writeHist,
 		})
 	}
 	return rep

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/brb-repro/brb/internal/netstore"
+	"github.com/brb-repro/brb/internal/testutil"
 )
 
 // captureStore records everything the engine issues through it; the
@@ -328,4 +329,59 @@ func roundTrip(h TraceHeader, ops []Op) (TraceHeader, []Op, error) {
 		return h, nil, err
 	}
 	return ReadTrace(&buf)
+}
+
+// gatedStore holds its first read until gate closes; everything else
+// returns at once.
+type gatedStore struct {
+	*captureStore
+	gate  chan struct{}
+	first atomic.Bool
+}
+
+func (s *gatedStore) Multiget(ctx context.Context, keys []string, opts netstore.ReadOptions) (*netstore.TaskResult, error) {
+	if s.first.CompareAndSwap(false, true) {
+		<-s.gate
+	}
+	return s.captureStore.Multiget(ctx, keys, opts)
+}
+
+// Paced ops are timed from their due time, writes included: while the
+// first read holds the only in-flight slot, the read and the Set due
+// behind it wait, and that wait is charged to them — timing from issue
+// would hide it.
+func TestRunTimesFromDueTime(t *testing.T) {
+	const hold = 40 * time.Millisecond
+	ops := []Op{
+		{TS: int64(time.Millisecond), Client: "c", Seq: 0, Kind: OpGet, Keys: []int{1}},
+		{TS: int64(2 * time.Millisecond), Client: "c", Seq: 1, Kind: OpGet, Keys: []int{2}},
+		{TS: int64(3 * time.Millisecond), Client: "c", Seq: 2, Kind: OpSet, Keys: []int{3}, Size: 8},
+	}
+	st := &gatedStore{captureStore: newCaptureStore(), gate: make(chan struct{})}
+	start := time.Now()
+	go func() {
+		testutil.Eventually(t, 10*time.Second, "the hold to pass", func() bool { return time.Since(start) > hold })
+		close(st.gate)
+	}()
+	rep, err := Run(context.Background(), nil, ops, RunConfig{
+		Dial:        func(string, int, int) (netstore.Store, error) { return st, nil },
+		MaxInFlight: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Classes[0]
+	if c.Latency.Count != 2 || c.WriteLatency.Count != 1 {
+		t.Fatalf("latency samples: %d reads, %d writes; want 2 and 1", c.Latency.Count, c.WriteLatency.Count)
+	}
+	// Each op fell due within 3 ms of the start and was released after
+	// the hold, so each waited at least hold-3ms from its due time.
+	floor := (hold - 3*time.Millisecond).Nanoseconds()
+	if c.Latency.Min < floor || c.WriteLatency.Min < floor {
+		t.Fatalf("min latency read %v write %v, want ≥ %v from the due time",
+			time.Duration(c.Latency.Min), time.Duration(c.WriteLatency.Min), time.Duration(floor))
+	}
+	if out := rep.String(); !strings.Contains(out, " write_p50=") || !strings.Contains(out, " write_p99=") {
+		t.Fatalf("report lacks write latency:\n%s", out)
+	}
 }

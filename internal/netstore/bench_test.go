@@ -14,7 +14,7 @@ import (
 
 // benchStore starts one server on loopback with nKeys preloaded and
 // returns a connected single-server client. The caller must Close both.
-func benchStore(b *testing.B, nKeys int) (*Server, *Client) {
+func benchStore(b testing.TB, nKeys int) (*Server, *Client) {
 	b.Helper()
 	store := kv.New(0)
 	for i := 0; i < nKeys; i++ {
@@ -37,42 +37,144 @@ func benchStore(b *testing.B, nKeys int) (*Server, *Client) {
 	return srv, c
 }
 
+// pipelineKeys are the 8 keys of BenchmarkServerPipeline's batch.
+func pipelineKeys(nKeys int) []string {
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%d", i%nKeys)
+	}
+	return keys
+}
+
+// pipelineOp is one BenchmarkServerPipeline round trip.
+func pipelineOp(tb testing.TB, c *Client, keys []string) {
+	res, err := c.Multiget(bg, keys, ReadOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Values) != len(keys) {
+		tb.Fatalf("got %d values", len(res.Values))
+	}
+}
+
 // BenchmarkServerPipeline measures the full batched-read round trip —
 // client encode, server decode/schedule/serve, response encode, client
 // decode — for an 8-key batch. allocs/op covers both endpoints; this is
 // the hot path whose per-frame allocation cost the pooled codec and
-// coalesced ConnWriter are meant to eliminate.
-//
-// Regression guard: allocs/op must stay ≤ 36 (the PR 2 floor; PR 9
-// re-earned it with the pooled default-timeout context, the slab-backed
-// value decode, and the map-free batch grouping after hedging/caching
-// had pushed it to 43). If a change lifts it past 36, find the new
-// allocations with -memprofilerate=1 and remove them — don't bump this
-// number.
+// coalesced ConnWriter are meant to eliminate. TestServerPipelineAllocs
+// guards its allocation count.
 func BenchmarkServerPipeline(b *testing.B) {
 	const nKeys = 64
 	srv, c := benchStore(b, nKeys)
 	defer srv.Close()
 	defer c.Close()
-
-	keys := make([]string, 8)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key:%d", i%nKeys)
-	}
+	keys := pipelineKeys(nKeys)
 	// Warm size cache and connections.
-	if _, err := c.Multiget(bg, keys, ReadOptions{}); err != nil {
-		b.Fatal(err)
-	}
+	pipelineOp(b, c, keys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Multiget(bg, keys, ReadOptions{})
-		if err != nil {
-			b.Fatal(err)
+		pipelineOp(b, c, keys)
+	}
+}
+
+// maxPipelineAllocs bounds BenchmarkServerPipeline's allocations per
+// round trip, both endpoints counted: the floor the pooled codec first
+// reached, re-earned by the pooled default-timeout context, the
+// slab-backed value decode and the map-free batch grouping after
+// hedging and caching had pushed it to 43. If a change lifts it past the bound, find the new allocations
+// with -memprofilerate=1 and remove them — don't raise the bound.
+const maxPipelineAllocs = 36
+
+func TestServerPipelineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const nKeys = 64
+	srv, c := benchStore(t, nKeys)
+	defer srv.Close()
+	defer c.Close()
+	keys := pipelineKeys(nKeys)
+	pipelineOp(t, c, keys)
+	avg := testing.AllocsPerRun(500, func() { pipelineOp(t, c, keys) })
+	t.Logf("ServerPipeline round trip: %.1f allocs/op", avg)
+	if avg > maxPipelineAllocs {
+		t.Errorf("ServerPipeline round trip: %.1f allocs/op, want ≤ %d", avg, maxPipelineAllocs)
+	}
+}
+
+// benchSetCluster starts the perfbench preload shape — 1 shard × 2
+// replicas, one connection each — and returns its client and a 1 KiB
+// value.
+func benchSetCluster(tb testing.TB) (*Cluster, []byte) {
+	tb.Helper()
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 2})
+	addrs, _ := startShardedCluster(tb, m, nil)
+	c, err := DialCluster(addrs, ClusterOptions{Topology: m})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	return c, make([]byte, 1024)
+}
+
+// BenchmarkClusterSetParallel measures replicated writes in the shape
+// of perfbench's preload: 16 writers share one Cluster whose Sets each
+// fan out to both replicas of one shard over one connection per
+// replica, 1 KiB values. It exercises the client's inline write fan-out
+// and the server's staged acks. TestClusterSetAllocs guards its
+// allocation count.
+func BenchmarkClusterSetParallel(b *testing.B) {
+	const writers = 16
+	c, val := benchSetCluster(b)
+	if err := c.Set(bg, "key:0", val, WriteOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1)
+				if i > int64(b.N) {
+					return
+				}
+				if err := c.Set(bg, fmt.Sprintf("key:%d", i%4096), val, WriteOptions{}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// maxClusterSetAllocs bounds one replicated Cluster.Set (1 shard × 2
+// replicas, both endpoints counted), as measured with the inline write
+// fan-out and staged server acks. Don't raise it; find what allocates.
+const maxClusterSetAllocs = 28
+
+func TestClusterSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	c, val := benchSetCluster(t)
+	const key = "key:0"
+	if err := c.Set(bg, key, val, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		if err := c.Set(bg, key, val, WriteOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		if len(res.Values) != len(keys) {
-			b.Fatalf("got %d values", len(res.Values))
-		}
+	})
+	t.Logf("Cluster.Set: %.1f allocs/op", avg)
+	if avg > maxClusterSetAllocs {
+		t.Errorf("Cluster.Set: %.1f allocs/op, want ≤ %d", avg, maxClusterSetAllocs)
 	}
 }
 

@@ -139,63 +139,47 @@ func (c *Client) Delete(ctx context.Context, key string, opts WriteOptions) erro
 func (c *Client) write(ctx context.Context, key string, value []byte, del bool, opts WriteOptions) (err error) {
 	defer func() { countCtxErr(err) }()
 	ctx, cancel := requestContextPooled(ctx, opts.Timeout, c.opts.RequestTimeout)
-	g := c.opts.Topology.GroupOfKey(key)
-	ver := c.versions.next()
-	reps := c.opts.Topology.Replicas(g)
-	results := make(chan error, len(reps))
-	for _, sid := range reps {
-		go func(sc *serverConn) {
-			if del {
-				results <- sc.del(ctx, key, ver, writeRoute{})
-			} else {
-				results <- sc.set(ctx, key, value, ver, writeRoute{})
-			}
-		}(c.conns[sid])
+	op := &writeOp{key: key, value: value, ver: c.versions.next(), del: del}
+	reps := c.opts.Topology.Replicas(c.opts.Topology.GroupOfKey(key))
+	f := newAckFan(len(reps))
+	for i, sid := range reps {
+		f.start(ctx, i, c.conns[sid], op, writeRoute{})
 	}
-	done := func() {
-		if del {
-			c.sizes.Delete(key)
-		} else {
-			learnSize(&c.sizes, key, int64(len(value)))
-		}
-	}
-	if opts.Fanout == WriteAny {
-		// First ack wins; the rest of the fan-out drains in the
-		// background, and the ctx is only released once it finishes so
-		// the stragglers are not cancelled by our return.
-		var firstErr error
-		for i := 0; i < len(reps); i++ {
-			werr := <-results
-			if werr == nil {
-				remaining := len(reps) - i - 1
-				go func() {
-					for j := 0; j < remaining; j++ {
-						<-results
-					}
-					cancel()
-				}()
-				done()
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = werr
-			}
-		}
-		cancel()
-		return firstErr
-	}
-	defer cancel()
 	var firstErr error
-	for range reps {
-		if werr := <-results; werr != nil && firstErr == nil {
-			firstErr = werr
+	for f.left > 0 {
+		v := f.next(ctx, op.what())
+		if v.err == nil && opts.Fanout == WriteAny {
+			// First ack wins; the rest of the fan-out drains in the
+			// background, and the ctx is only released once it finishes
+			// so the stragglers are not cancelled by our return.
+			go func() {
+				for f.left > 0 {
+					f.next(ctx, op.what())
+				}
+				cancel()
+			}()
+			c.learnWrite(op)
+			return nil
+		}
+		if v.err != nil && firstErr == nil {
+			firstErr = v.err
 		}
 	}
+	cancel()
 	if firstErr != nil {
 		return firstErr
 	}
-	done()
+	c.learnWrite(op)
 	return nil
+}
+
+// learnWrite updates the size cache after an acknowledged write.
+func (c *Client) learnWrite(op *writeOp) {
+	if op.del {
+		c.sizes.Delete(op.key)
+	} else {
+		learnSize(&c.sizes, op.key, int64(len(op.value)))
+	}
 }
 
 // versionClock issues write versions (shared by Client and Cluster):
@@ -497,7 +481,7 @@ type serverConn struct {
 	mu       sync.Mutex
 	nextID   uint64
 	pending  map[uint64]chan *wire.BatchResp
-	pendAck  map[uint64]chan error      // Set/Del acks (nil) or NotOwner rejections
+	pendAck  map[uint64]ackWaiter       // Set/Del verdicts awaited
 	pendTopo map[uint64]chan *wire.Topo // TopoGet replies
 	closed   bool
 	closeErr error
@@ -515,7 +499,7 @@ func newServerConnReader(conn net.Conn, r *bufio.Reader) *serverConn {
 		conn:     conn,
 		w:        wire.NewConnWriter(conn),
 		pending:  make(map[uint64]chan *wire.BatchResp),
-		pendAck:  make(map[uint64]chan error),
+		pendAck:  make(map[uint64]ackWaiter),
 		pendTopo: make(map[uint64]chan *wire.Topo),
 	}
 	go sc.readLoop(r)
@@ -532,14 +516,20 @@ func (sc *serverConn) readLoop(r *bufio.Reader) {
 			for _, ch := range sc.pending {
 				close(ch)
 			}
-			for _, ch := range sc.pendAck {
-				close(ch)
+			// A write's verdict channel is shared by its whole fan-out,
+			// so it is never closed: each awaited write gets an error
+			// verdict instead.
+			if len(sc.pendAck) > 0 {
+				dead := fmt.Errorf("netstore: connection closed awaiting write: %v", err)
+				for _, a := range sc.pendAck {
+					a.post(dead)
+				}
 			}
 			for _, ch := range sc.pendTopo {
 				close(ch)
 			}
 			sc.pending = map[uint64]chan *wire.BatchResp{}
-			sc.pendAck = map[uint64]chan error{}
+			sc.pendAck = map[uint64]ackWaiter{}
 			sc.pendTopo = map[uint64]chan *wire.Topo{}
 			sc.mu.Unlock()
 			return
@@ -659,87 +649,196 @@ func (sc *serverConn) abandonBatch(id uint64) {
 // the connection's seq space.
 func (sc *serverConn) ack(seq uint64, result error) {
 	sc.mu.Lock()
-	ch, live := sc.pendAck[seq]
+	a, live := sc.pendAck[seq]
 	delete(sc.pendAck, seq)
 	sc.mu.Unlock()
 	if live {
-		select {
-		case ch <- result:
-		default:
-		}
+		a.post(result)
 	}
 }
 
-// awaitAck registers an ack channel under a fresh seq, sends the message
-// built from that seq, and blocks until the server acknowledges or
-// rejects it, the connection dies, or ctx ends. Every caller's wait is
-// ctx-bounded: foreground writes carry the request deadline, background
-// repair traffic (hint replay/re-route, read-repair) derives a
-// DialTimeout-bounded ctx, so one wedged-but-open server can neither
-// hang a caller forever nor capture the prober or a repair slot. On ctx
-// termination the waiter deregisters; a late verdict parks harmlessly
-// in the buffered channel.
-func (sc *serverConn) awaitAck(ctx context.Context, build func(seq uint64) wire.Message, what string) error {
-	ch := make(chan error, 1)
+// ackVerdict is one replica's outcome within a write fan-out: nil for
+// an ack, a *NotOwnerError, a transport error, or the caller's ctx
+// ending the wait. idx is the caller's index for the replica.
+type ackVerdict struct {
+	idx int
+	err error
+}
+
+// ackWaiter routes one awaited write's verdict to its fan-out's channel.
+type ackWaiter struct {
+	ch  chan<- ackVerdict
+	idx int
+}
+
+// post delivers the verdict. The channel has room for one verdict per
+// replica of the fan-out and each waiter posts at most once, so this
+// never blocks the read loop; the default case guards against a server
+// double-answering a seq.
+func (a ackWaiter) post(err error) {
+	select {
+	case a.ch <- ackVerdict{idx: a.idx, err: err}:
+	default:
+	}
+}
+
+// writeOp is one versioned write: a Set, or a Delete when del. Version 0
+// asks the server for a local auto-advanced version.
+type writeOp struct {
+	key   string
+	value []byte
+	ver   uint64
+	del   bool
+}
+
+func (op *writeOp) what() string {
+	if op.del {
+		return "del"
+	}
+	return "set"
+}
+
+// startWrite is the write-side twin of startBatch: it registers a
+// waiter under a fresh seq and sends op's frame inline from the
+// caller's goroutine, without waiting. The verdict — the server's ack or
+// NotOwner, or an error if the connection dies first — arrives on ch
+// tagged with idx. The ctx deadline rides the frame as its remaining
+// Budget; a budget already spent fails without sending. A non-nil error
+// means nothing was registered and no verdict will come; otherwise a
+// caller that stops waiting must abandonAck(seq).
+func (sc *serverConn) startWrite(ctx context.Context, op *writeOp, rt writeRoute, ch chan<- ackVerdict, idx int) (uint64, error) {
+	budget, ok := budgetOf(ctx)
+	if !ok {
+		return 0, ctxErr(ctx, op.what()+" not sent")
+	}
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
-		return fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
+		return 0, fmt.Errorf("netstore: connection closed: %v", sc.closeErr)
 	}
 	sc.nextID++
-	id := sc.nextID
-	sc.pendAck[id] = ch
+	seq := sc.nextID
+	sc.pendAck[seq] = ackWaiter{ch: ch, idx: idx}
 	sc.mu.Unlock()
-	if err := sc.w.Send(build(id)); err != nil {
-		sc.mu.Lock()
-		delete(sc.pendAck, id)
-		sc.mu.Unlock()
-		return err
+	var m wire.Message
+	if op.del {
+		m = &wire.Del{Seq: seq, Version: op.ver, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: op.key}
+	} else {
+		m = &wire.Set{Seq: seq, Version: op.ver, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: op.key, Value: op.value}
 	}
-	// A value on the channel is the server's verdict (nil ack or a
-	// NotOwner rejection); the read loop closing it instead means the
-	// connection died with the write unacknowledged — an error, not
-	// success.
-	select {
-	case result, acked := <-ch:
-		if !acked {
-			return fmt.Errorf("netstore: connection closed awaiting %s: %v", what, sc.closeError())
-		}
-		return result
-	case <-ctx.Done():
+	if err := sc.w.Send(m); err != nil {
 		sc.mu.Lock()
-		delete(sc.pendAck, id)
+		_, registered := sc.pendAck[seq]
+		delete(sc.pendAck, seq)
 		sc.mu.Unlock()
-		return ctxErr(ctx, what+" abandoned")
+		if registered {
+			return 0, err
+		}
+		// The read loop already failed the waiter: its verdict is on
+		// ch, and the caller must collect it like any other.
+	}
+	return seq, nil
+}
+
+// abandonAck deregisters a startWrite waiter whose caller stopped
+// waiting, reporting whether it was still registered. False means the
+// read loop claimed it first, and its verdict is posted or about to be.
+func (sc *serverConn) abandonAck(seq uint64) bool {
+	sc.mu.Lock()
+	_, live := sc.pendAck[seq]
+	delete(sc.pendAck, seq)
+	sc.mu.Unlock()
+	return live
+}
+
+// ackFan is one write's fan-out across replicas without a goroutine per
+// replica: start sends each replica's frame inline, and every verdict
+// lands on one buffered channel that next drains. Every wait is
+// ctx-bounded: foreground writes carry the request deadline, background
+// repair traffic a DialTimeout-bounded ctx, so one wedged-but-open
+// server can neither hang a caller forever nor capture the prober or a
+// repair slot.
+type ackFan struct {
+	verdicts chan ackVerdict
+	// waits[idx] is the connection replica idx was sent on, and the seq
+	// its verdict is awaited under (0 once settled, or if the send
+	// failed).
+	waits []ackWait
+	// left counts verdicts still to be returned by next.
+	left int
+}
+
+type ackWait struct {
+	sc  *serverConn
+	seq uint64
+}
+
+func newAckFan(n int) ackFan {
+	return ackFan{verdicts: make(chan ackVerdict, n), waits: make([]ackWait, n)}
+}
+
+// start sends op to replica idx over sc. A send that fails outright
+// yields its error as idx's verdict straight away.
+func (f *ackFan) start(ctx context.Context, idx int, sc *serverConn, op *writeOp, rt writeRoute) {
+	f.left++
+	seq, err := sc.startWrite(ctx, op, rt, f.verdicts, idx)
+	f.waits[idx] = ackWait{sc: sc, seq: seq}
+	if err != nil {
+		f.verdicts <- ackVerdict{idx: idx, err: err}
 	}
 }
 
-// set writes one versioned key (version 0 = server-assigned local
-// version) under the given topology route and waits for the
-// acknowledgment until ctx ends. The ctx deadline rides the frame as
-// its remaining Budget; a budget already spent fails without sending. A
-// *NotOwnerError return means the server rejected the key as not its
-// own.
-func (sc *serverConn) set(ctx context.Context, key string, value []byte, version uint64, rt writeRoute) error {
-	budget, ok := budgetOf(ctx)
-	if !ok {
-		return ctxErr(ctx, "set not sent")
+// next returns one outstanding verdict. Once ctx ends, replicas still
+// awaited are abandoned one per call, each returned with the ctx error.
+// Call it exactly once per start.
+func (f *ackFan) next(ctx context.Context, what string) ackVerdict {
+	f.left--
+	select {
+	case v := <-f.verdicts:
+		return f.settled(v)
+	case <-ctx.Done():
 	}
-	return sc.awaitAck(ctx, func(seq uint64) wire.Message {
-		return &wire.Set{Seq: seq, Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: key, Value: value}
-	}, "set")
+	// A verdict that already arrived beats abandoning its replica.
+	select {
+	case v := <-f.verdicts:
+		return f.settled(v)
+	default:
+	}
+	for i, w := range f.waits {
+		if w.seq != 0 && w.sc.abandonAck(w.seq) {
+			f.waits[i].seq = 0
+			return ackVerdict{idx: i, err: ctxErr(ctx, what+" abandoned")}
+		}
+	}
+	// Every replica still awaited was claimed by its read loop, so a
+	// verdict is on its way.
+	return f.settled(<-f.verdicts)
+}
+
+func (f *ackFan) settled(v ackVerdict) ackVerdict {
+	f.waits[v.idx].seq = 0
+	return v
+}
+
+// write sends one versioned write under the given topology route and
+// waits for its verdict until ctx ends. A *NotOwnerError return means
+// the server rejected the key as not its own.
+func (sc *serverConn) write(ctx context.Context, op *writeOp, rt writeRoute) error {
+	f := newAckFan(1)
+	f.start(ctx, 0, sc, op, rt)
+	return f.next(ctx, op.what()).err
+}
+
+// set writes one versioned key (version 0 = server-assigned local
+// version) and waits for the acknowledgment until ctx ends.
+func (sc *serverConn) set(ctx context.Context, key string, value []byte, version uint64, rt writeRoute) error {
+	return sc.write(ctx, &writeOp{key: key, value: value, ver: version}, rt)
 }
 
 // del deletes one versioned key and waits for the acknowledgment until
 // ctx ends.
 func (sc *serverConn) del(ctx context.Context, key string, version uint64, rt writeRoute) error {
-	budget, ok := budgetOf(ctx)
-	if !ok {
-		return ctxErr(ctx, "del not sent")
-	}
-	return sc.awaitAck(ctx, func(seq uint64) wire.Message {
-		return &wire.Del{Seq: seq, Version: version, Shard: uint32(rt.shard), Epoch: rt.epoch, Budget: budget, Key: key}
-	}, "del")
+	return sc.write(ctx, &writeOp{key: key, ver: version, del: true}, rt)
 }
 
 // topoGet asks the server for its current topology and waits for the

@@ -715,12 +715,6 @@ func (c *Cluster) Delete(ctx context.Context, key string, opts WriteOptions) err
 	return c.write(ctx, key, nil, true, opts)
 }
 
-// writeVerdict is one replica's outcome within a write fan-out.
-type writeVerdict struct {
-	err    error
-	hinted *serverSlot // non-nil when the attempt buffered a hint
-}
-
 func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool, opts WriteOptions) (err error) {
 	defer func() { countCtxErr(err) }()
 	ctx, cancel := requestContext(ctx, opts.Timeout, c.opts.RequestTimeout)
@@ -730,125 +724,32 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			cancel()
 		}
 	}()
-	ver := c.versions.next()
+	op := &writeOp{key: key, value: value, ver: c.versions.next(), del: del}
 	st := c.state.Load()
 	for hop := 0; hop < maxEpochHops; hop++ {
-		shard := st.topo.ShardOfKey(key)
-		rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
-		reps := st.topo.Replicas()
-		results := make(chan writeVerdict, reps)
-		inflight := 0
-		var hinted []*serverSlot // slots holding this attempt's hints
-		for r := 0; r < reps; r++ {
-			slot := st.slotOf(shard, r)
-			sc := slot.pick()
-			if slot.down.Load() || sc == nil {
-				c.addHint(slot, key, value, ver, del)
-				hinted = append(hinted, slot)
-				continue
-			}
-			inflight++
-			go func(slot *serverSlot, sc *serverConn) {
-				var werr error
-				if del {
-					werr = sc.del(ctx, key, ver, rt)
-				} else {
-					werr = sc.set(ctx, key, value, ver, rt)
-				}
-				v := writeVerdict{err: werr}
-				switch {
-				case werr == nil:
-				case errors.As(werr, new(*NotOwnerError)):
-					// The server's (newer) topology places the key
-					// elsewhere: no hint — this replica will never own it.
-				case ctx.Err() != nil:
-					// The caller's deadline/cancellation cut the wait
-					// short; the replica may be healthy and may even have
-					// applied the write. Hint it (versioned, idempotent —
-					// a duplicate replay is a no-op) but do not mark the
-					// replica down for the caller's impatience.
-					c.addHint(slot, key, value, ver, del)
-					v.hinted = slot
-				default:
-					// Hint before marking down so a racing revival can only
-					// replay the hint, never miss it.
-					c.addHint(slot, key, value, ver, del)
-					v.hinted = slot
-					c.markDown(slot, sc)
-				}
-				results <- v
-			}(slot, sc)
-		}
-		success := func() {
-			// The floor first, the invalidation second: a concurrent
-			// cache fill racing this write either lands before the
-			// invalidation (dropped by it) or after (dropped at serve
-			// time by the raised floor) — there is no interleaving that
-			// leaves a pre-write value servable once this ack returns.
-			c.raiseWritten(key, ver)
-			if c.cache != nil {
-				c.cache.invalidate(key)
-			}
-			if del {
-				c.sizes.Delete(key)
-			} else {
-				learnSize(&c.sizes, key, int64(len(value)))
-			}
-		}
-		wrote, notOwner := 0, 0
-		for done := 0; done < inflight; done++ {
-			v := <-results
-			switch {
-			case v.err == nil:
-				wrote++
-			case errors.As(v.err, new(*NotOwnerError)):
-				notOwner++
-			default:
-				if v.hinted != nil {
-					hinted = append(hinted, v.hinted)
-				}
-			}
-			if v.err == nil && opts.Fanout == WriteAny {
+		a := c.startWriteAttempt(ctx, st, op)
+		for a.fan.left > 0 {
+			if v := a.await(ctx); v.err == nil && opts.Fanout == WriteAny {
 				// First ack wins. The remaining fan-out keeps running —
 				// the ctx is handed to a drainer that releases it only
-				// once every goroutine reported, so returning here does
-				// not cancel the stragglers. The drainer keeps the tally:
-				// NotOwner verdicts still arriving after our early return
-				// prove a newer epoch exists and get the same epoch-lag
-				// arming and redundancy top-up the WriteAll path performs
-				// (under the client's root ctx — background healing is
-				// scoped to the client's lifetime, not this caller's
-				// deadline).
+				// once every verdict is in, so returning here does not
+				// cancel the stragglers.
 				detached = true
-				remaining := inflight - done - 1
-				notOwnerSoFar := notOwner
-				go func() {
-					no := notOwnerSoFar
-					for j := 0; j < remaining; j++ {
-						if v := <-results; v.err != nil && errors.As(v.err, new(*NotOwnerError)) {
-							no++
-						}
-					}
-					if no > 0 {
-						c.epochLag.Store(true)
-						c.topUpOwners(c.rootCtx, st, key, value, ver, del)
-					}
-					cancel()
-				}()
-				success()
+				go a.drain(ctx, cancel)
+				c.writeAcked(op)
 				return nil
 			}
 		}
-		if notOwner > 0 {
+		if a.notOwner > 0 {
 			// Even when other replicas acked (the write succeeds below),
 			// the rejection proves a newer epoch exists: arm the prober's
 			// proactive refresh so later writes stop bouncing off
 			// already-pushed donors.
 			c.epochLag.Store(true)
 		}
-		if wrote > 0 {
-			success()
-			if notOwner > 0 {
+		if a.wrote > 0 {
+			c.writeAcked(op)
+			if a.notOwner > 0 {
 				// Mixed verdict: stale donors acked (the write succeeds),
 				// already-pushed replicas rejected. The rejecting replicas
 				// will never hold this write, and if the acking donors die
@@ -857,23 +758,21 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 				// same versioned write for the key's owners under the
 				// freshest topology; the prober's flush delivers it,
 				// idempotently.
-				c.topUpOwners(ctx, st, key, value, ver, del)
+				c.topUpOwners(ctx, st, op)
 			}
 			return nil
 		}
 		// No replica accepted: whatever this attempt hinted must not
 		// materialize later without an acknowledgment backing it.
-		for _, slot := range hinted {
-			if slot != nil {
-				c.removeHint(slot, key, ver)
-			}
+		for _, slot := range a.hinted {
+			c.removeHint(slot, key, op.ver)
 		}
 		if ctx.Err() != nil {
 			// The deadline (or the caller) ended the write before any
 			// replica could ack: surface the cause, not ErrNoReplica.
 			return ctxErr(ctx, fmt.Sprintf("write %q", key))
 		}
-		if notOwner > 0 || c.state.Load() != st {
+		if a.notOwner > 0 || c.state.Load() != st {
 			// The shard moved under us — either a replica said so
 			// (NotOwner) or a concurrent refresh replaced the state we
 			// fanned out against (closing a drained shard's connections
@@ -881,9 +780,111 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 			st = c.refreshTopology(ctx, st)
 			continue
 		}
-		return fmt.Errorf("%w %d (write %q)", ErrNoReplica, shard, key)
+		return fmt.Errorf("%w %d (write %q)", ErrNoReplica, a.shard, key)
 	}
 	return fmt.Errorf("%w (write %q)", ErrTopologySkew, key)
+}
+
+// writeAttempt is one epoch hop of a Cluster write: the fan-out to the
+// key's shard under one topology state, and the tally of its replicas'
+// verdicts. The caller's goroutine sends every replica's frame and
+// collects the verdicts; after a WriteAny returns, the drainer
+// goroutine takes the attempt over.
+type writeAttempt struct {
+	c     *Cluster
+	st    *topoState
+	shard int
+	op    writeOp
+	fan   ackFan
+	// wrote and notOwner count acks and NotOwner rejections.
+	wrote, notOwner int
+	// hinted holds the slots this attempt buffered a hint for.
+	hinted []*serverSlot
+}
+
+// startWriteAttempt sends op to every live replica of its shard under
+// st. A replica that is down (or has no connection) gets the write
+// buffered as a hint for replay on revival instead.
+func (c *Cluster) startWriteAttempt(ctx context.Context, st *topoState, op *writeOp) *writeAttempt {
+	shard := st.topo.ShardOfKey(op.key)
+	rt := writeRoute{shard: shard, epoch: st.topo.Epoch()}
+	reps := st.topo.Replicas()
+	a := &writeAttempt{c: c, st: st, shard: shard, op: *op, fan: newAckFan(reps)}
+	for r := 0; r < reps; r++ {
+		slot := st.slotOf(shard, r)
+		sc := slot.pick()
+		if slot.down.Load() || sc == nil {
+			c.addHint(slot, op.key, op.value, op.ver, op.del)
+			a.hinted = append(a.hinted, slot)
+			continue
+		}
+		a.fan.start(ctx, r, sc, &a.op, rt)
+	}
+	return a
+}
+
+// await takes the attempt's next replica verdict and acts on it.
+func (a *writeAttempt) await(ctx context.Context) ackVerdict {
+	v := a.fan.next(ctx, a.op.what())
+	switch {
+	case v.err == nil:
+		a.wrote++
+	case errors.As(v.err, new(*NotOwnerError)):
+		// The server's (newer) topology places the key elsewhere: no
+		// hint — this replica will never own it.
+		a.notOwner++
+	default:
+		// Hint before marking down so a racing revival can only replay
+		// the hint, never miss it.
+		slot := a.st.slotOf(a.shard, v.idx)
+		a.c.addHint(slot, a.op.key, a.op.value, a.op.ver, a.op.del)
+		a.hinted = append(a.hinted, slot)
+		// A wait the caller's deadline or cancellation cut short says
+		// nothing about the replica — it may be healthy and may even
+		// have applied the write (the hint is versioned, so a duplicate
+		// replay is a no-op) — so only a transport failure marks it down.
+		if ctx.Err() == nil {
+			a.c.markDown(slot, a.fan.waits[v.idx].sc)
+		}
+	}
+	return v
+}
+
+// drain finishes a WriteAny's fan-out after the caller returned at its
+// first ack, then releases the write's ctx. Stragglers get the same
+// hinting and down-marking as foreground verdicts. NotOwner verdicts —
+// from before the early return or after it — prove a newer epoch
+// exists and get the epoch-lag arming and redundancy top-up the
+// WriteAll path performs, under the client's root ctx: background
+// healing is scoped to the client's lifetime, not this caller's
+// deadline.
+func (a *writeAttempt) drain(ctx context.Context, cancel context.CancelFunc) {
+	for a.fan.left > 0 {
+		a.await(ctx)
+	}
+	if a.notOwner > 0 {
+		a.c.epochLag.Store(true)
+		a.c.topUpOwners(a.c.rootCtx, a.st, &a.op)
+	}
+	cancel()
+}
+
+// writeAcked records an acknowledged write on the client side. The
+// floor first, the invalidation second: a concurrent cache fill racing
+// this write either lands before the invalidation (dropped by it) or
+// after (dropped at serve time by the raised floor) — there is no
+// interleaving that leaves a pre-write value servable once this ack
+// returns.
+func (c *Cluster) writeAcked(op *writeOp) {
+	c.raiseWritten(op.key, op.ver)
+	if c.cache != nil {
+		c.cache.invalidate(op.key)
+	}
+	if op.del {
+		c.sizes.Delete(op.key)
+	} else {
+		learnSize(&c.sizes, op.key, int64(len(op.value)))
+	}
 }
 
 // topUpOwners buffers one versioned write as hints for the key's
@@ -891,11 +892,11 @@ func (c *Cluster) write(ctx context.Context, key string, value []byte, del bool,
 // mixed-verdict redundancy top-up shared by the WriteAll path and
 // WriteAny's background drainer. The prober's flush delivers the
 // hints, idempotently.
-func (c *Cluster) topUpOwners(ctx context.Context, st *topoState, key string, value []byte, ver uint64, del bool) {
+func (c *Cluster) topUpOwners(ctx context.Context, st *topoState, op *writeOp) {
 	if nst := c.refreshTopology(ctx, st); nst != st {
-		nshard := nst.topo.ShardOfKey(key)
+		nshard := nst.topo.ShardOfKey(op.key)
 		for _, sid := range nst.topo.ReplicaServers(nshard) {
-			c.addHint(nst.slots[sid], key, value, ver, del)
+			c.addHint(nst.slots[sid], op.key, op.value, op.ver, op.del)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // startShardedCluster launches shards×replicas shard-checking servers on
 // loopback, each with its own store, in dense topology order.
-func startShardedCluster(t *testing.T, m *cluster.ShardTopology, optsFor func(shard, replica int) ServerOptions) ([]string, []*Server) {
+func startShardedCluster(t testing.TB, m *cluster.ShardTopology, optsFor func(shard, replica int) ServerOptions) ([]string, []*Server) {
 	t.Helper()
 	addrs := make([]string, m.NumServers())
 	servers := make([]*Server, m.NumServers())

@@ -134,8 +134,11 @@ type Server struct {
 	// dur is the durability layer (nil for memory-only servers). Writes
 	// route through it; a WAL failure fail-stops the write path (no ack,
 	// connection closed) while reads keep serving from memory.
-	dur   *kv.Durable
-	sched *scheduler
+	dur *kv.Durable
+	// syncApply is set when a write's apply waits for an fsync
+	// (FsyncAlways): the handler pushes its staged acks before each one.
+	syncApply bool
+	sched     *scheduler
 
 	// topo is the server's current epoch-versioned topology (nil until
 	// installed by SetTopology or a wire Topo push). With CheckShard set
@@ -205,11 +208,12 @@ func NewDurableServer(store *kv.Store, opts ServerOptions) (*Server, kv.ReplaySt
 func newServer(store *kv.Store, dur *kv.Durable, opts ServerOptions) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:  opts,
-		store: store,
-		dur:   dur,
-		sched: newScheduler(opts.Discipline, opts.SchedShards),
-		conns: make(map[net.Conn]struct{}),
+		opts:      opts,
+		store:     store,
+		dur:       dur,
+		syncApply: dur != nil && (opts.Fsync == "" || opts.Fsync == kv.FsyncAlways),
+		sched:     newScheduler(opts.Discipline, opts.SchedShards),
+		conns:     make(map[net.Conn]struct{}),
 	}
 	if opts.TombstoneGCHorizon > 0 {
 		interval := opts.TombstoneGCInterval
@@ -281,10 +285,19 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Register under the lock that Close sets closed under: a
+		// connection accepted as Close runs is either closed here or
+		// registered (and counted in wg) before Close closes the
+		// registered ones and waits.
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.handle(conn)
 	}
 }
@@ -387,6 +400,17 @@ func (cs *connState) send(m wire.Message) error {
 		return cs.w.SendVectored(br)
 	}
 	return cs.w.Send(m)
+}
+
+// Read is the handler's read side, under its bufio.Reader: every socket
+// Read first pushes the answers staged since the last one, so a run of
+// pipelined requests that arrived together is answered with one Write
+// and no answer waits for the client's next request.
+func (cs *connState) Read(p []byte) (int, error) {
+	if err := cs.w.Push(); err != nil {
+		return 0, err
+	}
+	return cs.conn.Read(p)
 }
 
 // close tears the connection down first so the writer's in-flight Write
@@ -509,7 +533,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		cs.close()
 	}()
-	r := bufio.NewReaderSize(conn, 64<<10)
+	// Answers the handler gives inline are staged, not sent: cs pushes
+	// them before each socket Read, and the write paths push before an
+	// apply that waits for an fsync, so an ack never waits on the socket
+	// or on a later write's fsync. Batch responses come from workers and
+	// keep their SendVectored path.
+	r := bufio.NewReaderSize(cs, 64<<10)
 	for {
 		frame, err := wire.ReadFrame(r)
 		if err != nil {
@@ -523,7 +552,7 @@ func (s *Server) handle(conn net.Conn) {
 		switch m := msg.(type) {
 		case *wire.Ping:
 			frame.Release()
-			if cs.send(&wire.Pong{Nonce: m.Nonce}) != nil {
+			if cs.w.Stage(&wire.Pong{Nonce: m.Nonce}) != nil {
 				return
 			}
 		case *wire.Set:
@@ -531,13 +560,14 @@ func (s *Server) handle(conn net.Conn) {
 			// server does not own is rejected, not silently stored where
 			// no reader will ever look for it.
 			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
+				if s.rejectWrite(cs, frame, m.Seq, owner, epoch) != nil {
 					return
 				}
 				continue
+			}
+			if s.syncApply && cs.w.Push() != nil {
+				frame.Release()
+				return
 			}
 			// The store copies the value, but its map retains the key:
 			// clone the key off the pooled frame before it recycles.
@@ -565,28 +595,26 @@ func (s *Server) handle(conn net.Conn) {
 			// NotOwner, making the client re-route the same versioned
 			// write to the real owner.
 			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
+				if s.rejectWrite(cs, frame, m.Seq, owner, epoch) != nil {
 					return
 				}
 				continue
 			}
 			seq := m.Seq
 			frame.Release()
-			if cs.send(&wire.SetResp{Seq: seq}) != nil {
+			if cs.w.Stage(&wire.SetResp{Seq: seq}) != nil {
 				return
 			}
 		case *wire.Del:
 			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
+				if s.rejectWrite(cs, frame, m.Seq, owner, epoch) != nil {
 					return
 				}
 				continue
+			}
+			if s.syncApply && cs.w.Push() != nil {
+				frame.Release()
+				return
 			}
 			// DeleteVersion retains the key in its tombstone: clone it off
 			// the pooled frame like Set does.
@@ -598,23 +626,20 @@ func (s *Server) handle(conn net.Conn) {
 			// Post-apply ownership recheck, for the same catch-up-scan
 			// race Set guards against above.
 			if owner, epoch, ok := s.ownsKey(m.Key, m.Epoch); !ok {
-				srvNotOwnerWrites.Inc()
-				seq := m.Seq
-				frame.Release()
-				if cs.send(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)}) != nil {
+				if s.rejectWrite(cs, frame, m.Seq, owner, epoch) != nil {
 					return
 				}
 				continue
 			}
 			seq := m.Seq
 			frame.Release()
-			if cs.send(&wire.DelResp{Seq: seq}) != nil {
+			if cs.w.Stage(&wire.DelResp{Seq: seq}) != nil {
 				return
 			}
 		case *wire.TopoGet:
 			seq := m.Seq
 			frame.Release()
-			if cs.send(topoToWire(s.topo.Load(), seq)) != nil {
+			if cs.w.Stage(topoToWire(s.topo.Load(), seq)) != nil {
 				return
 			}
 		case *wire.Topo:
@@ -627,7 +652,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err == nil && nt != nil {
 				s.SetTopology(nt)
 			}
-			if cs.send(topoToWire(s.topo.Load(), seq)) != nil {
+			if cs.w.Stage(topoToWire(s.topo.Load(), seq)) != nil {
 				return
 			}
 		case *wire.Scan:
@@ -635,7 +660,7 @@ func (s *Server) handle(conn net.Conn) {
 			// the frame is released after the scan, before the send.
 			resp := s.scanStore(m.Seq, m.Cursor, m.After)
 			frame.Release()
-			if cs.send(resp) != nil {
+			if cs.w.Stage(resp) != nil {
 				return
 			}
 		case *wire.BatchReq:
@@ -648,6 +673,14 @@ func (s *Server) handle(conn net.Conn) {
 			frame.Release()
 		}
 	}
+}
+
+// rejectWrite stages a NotOwner answer for a write this server does not
+// own, releasing the write's frame.
+func (s *Server) rejectWrite(cs *connState, frame *wire.Frame, seq uint64, owner int, epoch uint64) error {
+	srvNotOwnerWrites.Inc()
+	frame.Release()
+	return cs.w.Stage(&wire.NotOwner{ID: seq, Epoch: epoch, Hint: uint32(owner)})
 }
 
 // applySet applies one write to the store and, on a durable server,

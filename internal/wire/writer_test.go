@@ -492,3 +492,197 @@ func TestSendVectoredInterleavesQueued(t *testing.T) {
 		t.Fatalf("queued frames lost: ping=%v batch=%v", sawPing, sawSecond)
 	}
 }
+
+// TestConnWriterStagedMatchesEncodeOrder mixes every way into the
+// writer — Stage with occasional Push, Send, SendVectored — from
+// concurrent goroutines. A shared lock orders the calls (so the encode
+// order is known) but not the Writes, which the inline paths and the
+// drain perform concurrently with later calls. The wire must carry
+// exactly the frames Encode gives, in call order, none lost to a stage
+// that was never pushed.
+func TestConnWriterStagedMatchesEncodeOrder(t *testing.T) {
+	const perG = 300
+	var w blockingWriter
+	cw := NewConnWriter(&w)
+	var (
+		mu   sync.Mutex
+		sent []Message
+		wg   sync.WaitGroup
+	)
+	call := func(g, i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		n := uint64(len(sent))
+		switch g {
+		case 0, 1: // the server handler's shape: stage, push now and then
+			m := &SetResp{Seq: n}
+			sent = append(sent, m)
+			if err := cw.Stage(m); err != nil {
+				return err
+			}
+			if i%(3+g) == 0 {
+				return cw.Push()
+			}
+			return nil
+		case 2:
+			m := &Ping{Nonce: n}
+			sent = append(sent, m)
+			return cw.Send(m)
+		default:
+			m := benchResp(1, 1)
+			m.Batch = n
+			sent = append(sent, m)
+			return cw.SendVectored(m)
+		}
+	}
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if err := call(g, i); err != nil {
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := cw.Push(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, m := range sent {
+		want = append(want, Encode(m)...)
+	}
+	if _, got := w.snapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("wire bytes differ from encode order: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// TestConnWriterStageHoldsUntilPush: staged frames are not written — not
+// even by a drain goroutine that happens to start late — until Push,
+// which sends them all in one Write.
+func TestConnWriterStageHoldsUntilPush(t *testing.T) {
+	var w blockingWriter
+	cw := NewConnWriter(&w)
+	for i := 0; i < 8; i++ {
+		if err := cw.Stage(&SetResp{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if writes, _ := w.snapshot(); writes != 0 {
+		t.Fatalf("%d writes before Push, want 0", writes)
+	}
+	if err := cw.Push(); err != nil {
+		t.Fatal(err)
+	}
+	writes, data := w.snapshot()
+	if writes != 1 {
+		t.Fatalf("Push made %d writes, want 1", writes)
+	}
+	if got := len(readAllFrames(t, data)); got != 8 {
+		t.Fatalf("Push wrote %d frames, want 8", got)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConnWriterStagePastBoundPushes stages more than maxPendingBytes
+// without ever calling Push. No drain was woken, so a Stage that waited
+// for backpressure would wait forever: instead the Stage that crosses
+// the bound writes the staged bytes itself.
+func TestConnWriterStagePastBoundPushes(t *testing.T) {
+	var w blockingWriter
+	cw := NewConnWriter(&w)
+	big := &Set{Key: "k", Value: make([]byte, 1<<20)}
+	const n = 2*maxPendingBytes/(1<<20) + 1
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := cw.Stage(big); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stage past maxPendingBytes deadlocked")
+	}
+	if writes, _ := w.snapshot(); writes == 0 {
+		t.Fatal("no Write after staging past maxPendingBytes")
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, data := w.snapshot(); len(readAllFrames(t, data)) != n {
+		t.Fatalf("frames lost staging past the bound")
+	}
+}
+
+// A write error latched by Push is sticky: Push reports it, and so do
+// every later Stage and Push.
+func TestConnWriterPushStickyError(t *testing.T) {
+	wantErr := errors.New("boom")
+	w := &blockingWriter{err: wantErr}
+	cw := NewConnWriter(w)
+	if err := cw.Stage(&SetResp{Seq: 1}); err != nil {
+		t.Fatalf("Stage before any write = %v, want nil", err)
+	}
+	if err := cw.Push(); !errors.Is(err, wantErr) {
+		t.Fatalf("Push = %v, want %v", err, wantErr)
+	}
+	for i := 0; i < 3; i++ {
+		if err := cw.Stage(&SetResp{Seq: 2}); !errors.Is(err, wantErr) {
+			t.Fatalf("Stage after error = %v, want %v", err, wantErr)
+		}
+		if err := cw.Push(); !errors.Is(err, wantErr) {
+			t.Fatalf("Push after error = %v, want %v", err, wantErr)
+		}
+	}
+	if err := cw.Close(); !errors.Is(err, wantErr) {
+		t.Fatalf("Close = %v, want %v", err, wantErr)
+	}
+}
+
+// Close writes frames that were staged and never pushed; Stage and Push
+// after Close report ErrWriterClosed.
+func TestConnWriterCloseDrainsStaged(t *testing.T) {
+	var w blockingWriter
+	cw := NewConnWriter(&w)
+	for i := 0; i < 5; i++ {
+		if err := cw.Stage(&SetResp{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, data := w.snapshot()
+	msgs := readAllFrames(t, data)
+	if len(msgs) != 5 {
+		t.Fatalf("Close wrote %d staged frames, want 5", len(msgs))
+	}
+	for i, m := range msgs {
+		if m.(*SetResp).Seq != uint64(i) {
+			t.Fatalf("frame %d out of order", i)
+		}
+	}
+	if err := cw.Stage(&SetResp{}); !errors.Is(err, ErrWriterClosed) {
+		t.Fatalf("Stage after Close = %v, want ErrWriterClosed", err)
+	}
+	if err := cw.Push(); !errors.Is(err, ErrWriterClosed) {
+		t.Fatalf("Push after Close = %v, want ErrWriterClosed", err)
+	}
+}
