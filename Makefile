@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet fmt test race bench perfbench-test check clean
+.PHONY: all build lint vet fmt test race bench perfbench-test load-smoke check clean
 
 all: build
 
@@ -41,6 +41,13 @@ bench:
 # so the root ./... patterns never reach it: vet and test it in place.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# CI's derived-shard brb-load smoke: without -shards, the three default
+# -servers at -replication 3 run as one shard of three spawned replicas.
+load-smoke:
+	$(GO) run ./cmd/brb-load -spawn -replication 3 \
+		-keys 300 -tasks 1000 -clients 2 -fanout 8.6 -burst-prob 0.02 \
+		| tee /dev/stderr | grep -E 'task latency: n=1000 '
 
 check: fmt lint build test race perfbench-test
 

@@ -2,7 +2,8 @@
 // controller: clients stream demand reports and receive per-interval
 // credit grants proportional to demand (paper §2.2).
 //
-// Usage (flat server tier):
+// Usage (unsharded servers; the clients see them as one shard of
+// -servers replicas):
 //
 //	brb-controller -listen :7080 -clients 18 -servers 9 -capacity 4 -interval 100ms
 //
@@ -45,7 +46,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7080", "listen address")
 	clients := flag.Int("clients", 18, "number of clients")
-	servers := flag.Int("servers", 9, "number of storage servers (flat tier)")
+	servers := flag.Int("servers", 9, "number of storage servers, in the dense order clients dial them (ignored when -shards is set)")
 	shards := flag.Int("shards", 0, "shard groups (sharded mode; overrides -servers with shards×replicas)")
 	replicas := flag.Int("replicas", 3, "replicas per shard (sharded mode)")
 	capacity := flag.Float64("capacity", 4, "per-server parallel capacity (worker count)")

@@ -1,7 +1,8 @@
 // Netdemo: the real networked store end to end, in one process — three
 // brb-server instances with injected size-dependent service times, a
 // credits controller, and a task-aware client issuing batched playlist
-// reads with EqualMax priorities.
+// reads with EqualMax priorities. The three servers are unsharded and
+// hold every key: the client sees them as one shard of three replicas.
 //
 //	go run ./examples/netdemo
 package main
@@ -61,9 +62,9 @@ func main() {
 	defer ctrl.Close()
 	fmt.Println("started credits controller:", cln.Addr())
 
-	// Task-aware client.
-	topo := cluster.MustNew(cluster.Config{Servers: servers, Replication: 3})
-	client, err := netstore.Dial(addrs, netstore.ClientOptions{
+	// Task-aware client: one shard of three replicas.
+	topo := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: servers})
+	client, err := netstore.DialCluster(addrs, netstore.ClusterOptions{
 		Topology: topo,
 		Assigner: core.EqualMax{},
 	})

@@ -118,6 +118,71 @@ func (s *Scorer) Best(eligible func(replica int) bool) int {
 	return best
 }
 
+// Spread assigns len(picks) requests to eligible replicas one at a time,
+// each to the replica that would finish it first: its outstanding
+// requests, counting the earlier assignments, plus this one, times its
+// per-request service time, ties going to the lower score. A replica
+// with no feedback yet is taken to serve as fast as the fastest one
+// with feedback. This is BRB's headroom rule for a batch the caller
+// splits across replicas: a large batch spreads evenly over like
+// replicas, and a replica that serves slowly or is still busy gets
+// fewer keys. The response-time and queue-length EWMAs take no part;
+// under bursts they swing by orders of magnitude, and picks that follow
+// them pile whole batches onto one replica. Spread records nothing; the
+// caller still calls OnSend per dispatched part. It reports false,
+// leaving picks unspecified, if eligible admits no replica.
+func (s *Scorer) Spread(picks []int, eligible func(replica int) bool) bool {
+	var loadBuf [8]int
+	var svcBuf, scoreBuf [8]float64
+	n := len(s.state)
+	load, svc, score := loadBuf[:], svcBuf[:], scoreBuf[:]
+	if n > len(loadBuf) {
+		load, svc, score = make([]int, n), make([]float64, n), make([]float64, n)
+	}
+	load, svc, score = load[:n], svc[:n], score[:n]
+	fastest := 0.0
+	s.mu.Lock()
+	for r := range s.state {
+		// An ineligible replica's load is -1: never picked.
+		load[r] = -1
+		if eligible == nil || eligible(r) {
+			st := &s.state[r]
+			load[r], svc[r], score[r] = st.outstand, 0, s.scoreLocked(r)
+			if st.haveData {
+				svc[r] = max(st.svcEWMA, 1)
+				if fastest == 0 || svc[r] < fastest {
+					fastest = svc[r]
+				}
+			}
+		}
+	}
+	s.mu.Unlock()
+	for r := range svc {
+		if load[r] >= 0 && svc[r] == 0 {
+			svc[r] = max(fastest, 1)
+		}
+	}
+	for i := range picks {
+		best := -1
+		var bestFinish float64
+		for r, l := range load {
+			if l < 0 {
+				continue
+			}
+			finish := float64(l+1) * svc[r]
+			if best < 0 || finish < bestFinish || finish == bestFinish && score[r] < score[best] {
+				best, bestFinish = r, finish
+			}
+		}
+		if best < 0 {
+			return false
+		}
+		picks[i] = best
+		load[best]++
+	}
+	return true
+}
+
 // OnSend records n requests dispatched to a replica (outstanding grows).
 func (s *Scorer) OnSend(replica, n int) {
 	s.mu.Lock()

@@ -96,3 +96,54 @@ func TestScorerReset(t *testing.T) {
 		t.Fatalf("Reset replica scores %v, untouched cold replica %v", a, b)
 	}
 }
+
+func TestScorerSpread(t *testing.T) {
+	sc := NewScorer(3, ScorerOptions{})
+	// Replica 0 serves a request in 300 µs, replicas 1 and 2 in 100 µs;
+	// replica 2 already has two requests in flight.
+	sc.Observe(0, 0, 5_000_000, 300_000, 0)
+	sc.Observe(1, 0, 1_000_000, 100_000, 0)
+	sc.Observe(2, 0, 1_000_000, 100_000, 0)
+	sc.OnSend(2, 2)
+	picks := make([]int, 6)
+	if !sc.Spread(picks, nil) {
+		t.Fatal("Spread found no replica")
+	}
+	// Finish times (µs) of the next request: 300 on replica 0, 100 per
+	// queued request on 1, and 300 on 2 at first. Replica 1 takes three
+	// (100, 200, then 300, a tie its lower score wins), 2 one at 300 (a
+	// tie with 0 that 2 wins on score), 0 one at 300, and 1 the last at
+	// 400 (a tie with 2 it wins on score).
+	want := []int{1, 1, 1, 2, 0, 1}
+	for i := range want {
+		if picks[i] != want[i] {
+			t.Fatalf("picks = %v, want %v", picks, want)
+		}
+	}
+	if sc.Outstanding(0) != 0 || sc.Outstanding(1) != 0 || sc.Outstanding(2) != 2 {
+		t.Fatal("Spread recorded outstanding requests")
+	}
+	if !sc.Spread(picks, func(r int) bool { return r == 0 }) {
+		t.Fatal("Spread found no eligible replica")
+	}
+	for _, p := range picks {
+		if p != 0 {
+			t.Fatalf("picks = %v, want all on the only eligible replica 0", picks)
+		}
+	}
+	if sc.Spread(picks, func(int) bool { return false }) {
+		t.Fatal("Spread succeeded with no eligible replica")
+	}
+
+	// A replica with no feedback counts as fast as the fastest one, so a
+	// revived replica shares the load instead of taking all of it.
+	cold := NewScorer(2, ScorerOptions{})
+	cold.Observe(0, 0, 1_000_000, 100_000, 0)
+	picks = make([]int, 4)
+	if !cold.Spread(picks, nil) {
+		t.Fatal("Spread found no replica")
+	}
+	if want := []int{1, 0, 1, 0}; picks[0] != want[0] || picks[1] != want[1] || picks[2] != want[2] || picks[3] != want[3] {
+		t.Fatalf("cold picks = %v, want %v", picks, want)
+	}
+}

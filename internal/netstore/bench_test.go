@@ -12,9 +12,10 @@ import (
 	"github.com/brb-repro/brb/internal/kv"
 )
 
-// benchStore starts one server on loopback with nKeys preloaded and
-// returns a connected single-server client. The caller must Close both.
-func benchStore(b testing.TB, nKeys int) (*Server, *Client) {
+// benchStore starts one unsharded server on loopback with nKeys
+// preloaded and returns a connected 1-shard × 1-replica client. The
+// caller must Close both.
+func benchStore(b testing.TB, nKeys int) (*Server, *Cluster) {
 	b.Helper()
 	store := kv.New(0)
 	for i := 0; i < nKeys; i++ {
@@ -26,11 +27,8 @@ func benchStore(b testing.TB, nKeys int) (*Server, *Client) {
 		b.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo, err := cluster.New(cluster.Config{Servers: 1, Replication: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
+	m := cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: 1})
+	c, err := DialCluster([]string{ln.Addr().String()}, ClusterOptions{Topology: m})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func pipelineKeys(nKeys int) []string {
 }
 
 // pipelineOp is one BenchmarkServerPipeline round trip.
-func pipelineOp(tb testing.TB, c *Client, keys []string) {
+func pipelineOp(tb testing.TB, c *Cluster, keys []string) {
 	res, err := c.Multiget(bg, keys, ReadOptions{})
 	if err != nil {
 		tb.Fatal(err)
@@ -80,10 +78,9 @@ func BenchmarkServerPipeline(b *testing.B) {
 
 // maxPipelineAllocs bounds BenchmarkServerPipeline's allocations per
 // round trip, both endpoints counted: the floor the pooled codec first
-// reached, re-earned by the pooled default-timeout context, the
-// slab-backed value decode and the map-free batch grouping after
-// hedging and caching had pushed it to 43. If a change lifts it past the bound, find the new allocations
-// with -memprofilerate=1 and remove them — don't raise the bound.
+// reached. If a change lifts it past the bound, find the new
+// allocations with -memprofilerate=1 and remove them — don't raise the
+// bound.
 const maxPipelineAllocs = 36
 
 func TestServerPipelineAllocs(t *testing.T) {

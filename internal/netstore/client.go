@@ -3,186 +3,16 @@ package netstore
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/brb-repro/brb/internal/cluster"
-	"github.com/brb-repro/brb/internal/core"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
-// ClientOptions configure a task-aware client.
-type ClientOptions struct {
-	// Topology maps keys to replica groups and groups to server indexes
-	// (into the address list handed to Dial). Required.
-	Topology *cluster.Topology
-	// Assigner is the priority-assignment algorithm (default EqualMax).
-	Assigner core.Assigner
-	// CostModel forecasts per-key service cost from the value size
-	// (default: 1 µs + 1 ns/byte — only relative order matters for
-	// scheduling).
-	CostModel core.CostModel
-	// DefaultSize is the assumed size for keys not yet seen (sizes are
-	// learned from responses). Default 1024.
-	DefaultSize int64
-	// Client identifies this client to the credits controller.
-	Client int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds any operation whose context carries no
-	// deadline (default DefaultRequestTimeout; negative disables the
-	// default, restoring wait-forever semantics for background-context
-	// callers). Per-call ReadOptions/WriteOptions.Timeout and ctx
-	// deadlines always apply on top — the earliest bound wins.
-	RequestTimeout time.Duration
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Assigner == nil {
-		o.Assigner = core.EqualMax{}
-	}
-	if o.CostModel == (core.CostModel{}) {
-		o.CostModel = core.CostModel{BaseNanos: 1000, PerBytePico: 1000}
-	}
-	if o.DefaultSize <= 0 {
-		o.DefaultSize = 1024
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	return o
-}
-
-// Client is a task-aware data-store client: it decomposes multi-key tasks
-// into sub-tasks per replica group, forecasts costs from learned value
-// sizes, stamps BRB priorities, selects replicas load-awarely, and issues
-// batched reads.
-type Client struct {
-	opts  ClientOptions
-	conns []*serverConn
-
-	// sizes caches learned value sizes for cost forecasting.
-	sizes sync.Map // string -> int64
-
-	// outstanding[s] is the estimated in-flight service time (ns) at
-	// server s from this client.
-	outstanding []atomic.Int64
-
-	// credits are granted by the controller (nil without one).
-	credits *creditGate
-
-	taskSeq atomic.Uint64
-
-	// versions stamps writes; servers apply them last-writer-wins.
-	versions versionClock
-}
-
-// Dial connects to every server address. addrs[i] must be the server
-// hosting replica index i of the topology.
-func Dial(addrs []string, opts ClientOptions) (*Client, error) {
-	opts = opts.withDefaults()
-	if opts.Topology == nil {
-		return nil, errors.New("netstore: ClientOptions.Topology is required")
-	}
-	if len(addrs) != opts.Topology.NumServers() {
-		return nil, fmt.Errorf("netstore: %d addresses for %d servers", len(addrs), opts.Topology.NumServers())
-	}
-	c := &Client{opts: opts, outstanding: make([]atomic.Int64, len(addrs))}
-	for _, addr := range addrs {
-		conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("netstore: dial %s: %w", addr, err)
-		}
-		sc := newServerConn(conn)
-		c.conns = append(c.conns, sc)
-	}
-	return c, nil
-}
-
-// Close tears down all connections.
-func (c *Client) Close() {
-	for _, sc := range c.conns {
-		if sc != nil {
-			sc.close()
-		}
-	}
-	if c.credits != nil {
-		c.credits.close()
-	}
-}
-
-// Set writes a key to every replica of its group in parallel, stamped
-// with one version so all replicas store identical state for the write.
-// The flat client is not epoch-routed: its Sets carry a zero Shard/Epoch
-// header. The wait is bounded by ctx, opts.Timeout, and the client's
-// RequestTimeout (earliest wins); WriteAll (default) requires every
-// replica's ack, WriteAny returns after the first while the rest
-// complete in the background.
-func (c *Client) Set(ctx context.Context, key string, value []byte, opts WriteOptions) error {
-	return c.write(ctx, key, value, false, opts)
-}
-
-// Delete removes a key from every replica of its group (versioned, so a
-// concurrent older Set cannot resurrect it) and drops the key's learned
-// size, so later cost forecasts fall back to DefaultSize instead of the
-// stale size of a value that no longer exists. Deadline and fan-out
-// semantics match Set's.
-func (c *Client) Delete(ctx context.Context, key string, opts WriteOptions) error {
-	return c.write(ctx, key, nil, true, opts)
-}
-
-func (c *Client) write(ctx context.Context, key string, value []byte, del bool, opts WriteOptions) (err error) {
-	defer func() { countCtxErr(err) }()
-	ctx, cancel := requestContextPooled(ctx, opts.Timeout, c.opts.RequestTimeout)
-	op := &writeOp{key: key, value: value, ver: c.versions.next(), del: del}
-	reps := c.opts.Topology.Replicas(c.opts.Topology.GroupOfKey(key))
-	f := newAckFan(len(reps))
-	for i, sid := range reps {
-		f.start(ctx, i, c.conns[sid], op, writeRoute{})
-	}
-	var firstErr error
-	for f.left > 0 {
-		v := f.next(ctx, op.what())
-		if v.err == nil && opts.Fanout == WriteAny {
-			// First ack wins; the rest of the fan-out drains in the
-			// background, and the ctx is only released once it finishes
-			// so the stragglers are not cancelled by our return.
-			go func() {
-				for f.left > 0 {
-					f.next(ctx, op.what())
-				}
-				cancel()
-			}()
-			c.learnWrite(op)
-			return nil
-		}
-		if v.err != nil && firstErr == nil {
-			firstErr = v.err
-		}
-	}
-	cancel()
-	if firstErr != nil {
-		return firstErr
-	}
-	c.learnWrite(op)
-	return nil
-}
-
-// learnWrite updates the size cache after an acknowledged write.
-func (c *Client) learnWrite(op *writeOp) {
-	if op.del {
-		c.sizes.Delete(op.key)
-	} else {
-		learnSize(&c.sizes, op.key, int64(len(op.value)))
-	}
-}
-
-// versionClock issues write versions (shared by Client and Cluster):
+// versionClock issues the Cluster client's write versions:
 // wall-clock nanoseconds at the write, bumped to stay strictly
 // monotonic within the client. Stamping each write with *current* time
 // — rather than a dial-time seed plus a counter — keeps versions from
@@ -205,10 +35,9 @@ func (vc *versionClock) next() uint64 {
 	}
 }
 
-// learnSize caches a key's observed value size for cost forecasting
-// (shared by Client and Cluster), skipping the store (and its per-call
-// boxing allocation) when the cached size is already right — the
-// steady-state case.
+// learnSize caches a key's observed value size for cost forecasting,
+// skipping the store (and its per-call boxing allocation) when the
+// cached size is already right — the steady-state case.
 func learnSize(sizes *sync.Map, key string, size int64) {
 	if v, ok := sizes.Load(key); ok && v.(int64) == size {
 		return
@@ -230,189 +59,10 @@ type TaskResult struct {
 	// nanoseconds.
 	Bottleneck int64
 	// Hedged counts hedge attempts fired while serving this task
-	// (sharded cluster reads only). Sub-batches update it with atomic
+	// (hedged Cluster reads only). Sub-batches update it with atomic
 	// adds while the call is in flight; read it only after the call
 	// returns.
 	Hedged int32
-}
-
-// Get reads a single key through the batched pipeline (found=false for
-// missing keys, never an error).
-func (c *Client) Get(ctx context.Context, key string, opts ReadOptions) ([]byte, bool, error) {
-	res, err := c.Multiget(ctx, []string{key}, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Values[0], res.Found[0], nil
-}
-
-// Multiget performs one batched read: the full BRB client pipeline
-// (forecast → decompose per replica group → prioritize → load-aware
-// replica selection → scatter-gather). The wait is bounded by ctx,
-// opts.Timeout, and the client's RequestTimeout; on expiry the partial
-// TaskResult holds whatever batches answered in time, alongside an
-// error wrapping context.DeadlineExceeded.
-func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) (res *TaskResult, err error) {
-	if len(keys) == 0 {
-		return &TaskResult{}, nil
-	}
-	defer func() { countCtxErr(err) }()
-	ctx, cancel := requestContextPooled(ctx, opts.Timeout, c.opts.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	topo := c.opts.Topology
-
-	// Build the task with forecasted costs; the per-key requests are one
-	// slab, not one allocation each.
-	task := &core.Task{ID: c.taskSeq.Add(1), Client: c.opts.Client}
-	reqs := make([]core.Request, len(keys))
-	task.Requests = make([]*core.Request, len(keys))
-	for i, k := range keys {
-		size := c.opts.DefaultSize
-		if v, ok := c.sizes.Load(k); ok {
-			size = v.(int64)
-		}
-		reqs[i] = core.Request{
-			ID:      uint64(i),
-			TaskID:  task.ID,
-			Client:  c.opts.Client,
-			Group:   topo.GroupOfKey(k),
-			Size:    size,
-			EstCost: c.opts.CostModel.Estimate(size),
-		}
-		task.Requests[i] = &reqs[i]
-	}
-	subs := core.Prepare(task, c.opts.Assigner)
-	bottleneck := core.Bottleneck(subs)
-
-	// Replica selection per request (spatial optimization): pick the
-	// replica with the most headroom, batching contiguous picks per
-	// server.
-	type outBatch struct {
-		sid   cluster.ServerID
-		keys  []string
-		prios []int64
-		idx   []int
-	}
-	// Batches are keyed by server, of which a task touches at most a
-	// handful — a linear scan beats a map allocation per call.
-	var batches []*outBatch
-	for _, sub := range subs {
-		reps := topo.Replicas(sub.Group)
-		for _, r := range sub.Requests {
-			best := c.pickReplica(reps, opts.Replica)
-			var b *outBatch
-			for _, cand := range batches {
-				if cand.sid == best {
-					b = cand
-					break
-				}
-			}
-			if b == nil {
-				// Sized for the current sub-task; a server collecting
-				// requests from several groups grows by append.
-				n := len(sub.Requests)
-				b = &outBatch{
-					sid:   best,
-					keys:  make([]string, 0, n),
-					prios: make([]int64, 0, n),
-					idx:   make([]int, 0, n),
-				}
-				batches = append(batches, b)
-			}
-			b.keys = append(b.keys, keys[r.ID])
-			b.prios = append(b.prios, r.Priority+opts.PriorityBias)
-			b.idx = append(b.idx, int(r.ID))
-			c.outstanding[best].Add(r.EstCost)
-			if c.credits != nil {
-				c.credits.spend(int(best), float64(r.EstCost))
-			}
-		}
-	}
-
-	res = &TaskResult{
-		Values:     make([][]byte, len(keys)),
-		Found:      make([]bool, len(keys)),
-		Bottleneck: bottleneck,
-	}
-	issue := func(b *outBatch) error {
-		// The batch's forecasted work leaves the in-flight estimate on
-		// every exit — a failed batch is no longer outstanding, and
-		// leaving it accounted would permanently penalize the replica
-		// in future pickReplica calls.
-		defer func() {
-			var est int64
-			for _, orig := range b.idx {
-				est += task.Requests[orig].EstCost
-			}
-			c.outstanding[b.sid].Add(-est)
-		}()
-		// Single-tier deployments leave the Shard/Replica routing
-		// header zero (see wire.BatchReq).
-		resp, err := c.conns[b.sid].batch(ctx, &wire.BatchReq{
-			TaskID:   task.ID,
-			Priority: b.prios,
-			Keys:     b.keys,
-		})
-		if err != nil {
-			return err
-		}
-		if resp.Misrouted() {
-			return fmt.Errorf("netstore: server %d is shard-checking and rejected an unsharded batch as misrouted; use DialCluster against sharded deployments", b.sid)
-		}
-		if len(resp.Values) != len(b.keys) {
-			return fmt.Errorf("netstore: server %d returned %d values for %d keys", b.sid, len(resp.Values), len(b.keys))
-		}
-		expired := 0
-		for i, orig := range b.idx {
-			if resp.Expired != nil && resp.Expired[i] {
-				expired++
-				continue
-			}
-			res.Values[orig] = resp.Values[i]
-			res.Found[orig] = resp.Found[i]
-			if resp.Found[i] {
-				learnSize(&c.sizes, b.keys[i], int64(len(resp.Values[i])))
-			}
-		}
-		if expired > 0 {
-			return expiredKeysError(expired)
-		}
-		return nil
-	}
-	// Fan out to all batches but the first, which runs on this
-	// goroutine — in the common single-server case the task costs no
-	// goroutine spawn at all.
-	var firstErr error
-	if len(batches) > 1 {
-		var wg sync.WaitGroup
-		errCh := make(chan error, len(batches)-1)
-		for _, b := range batches[1:] {
-			b := b
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := issue(b); err != nil {
-					errCh <- err
-				}
-			}()
-		}
-		firstErr = issue(batches[0])
-		wg.Wait()
-		close(errCh)
-		if firstErr == nil {
-			firstErr = <-errCh
-		}
-	} else {
-		firstErr = issue(batches[0])
-	}
-	res.Latency = time.Since(start)
-	if firstErr != nil {
-		// Partial results ride along: batches that answered in time have
-		// their slots filled, the rest read as not-found under the error.
-		return res, firstErr
-	}
-	return res, nil
 }
 
 // expiredKeysError reports server-shed keys as a deadline expiry the
@@ -420,36 +70,6 @@ func (c *Client) Multiget(ctx context.Context, keys []string, opts ReadOptions) 
 func expiredKeysError(n int) error {
 	return fmt.Errorf("netstore: server shed %d expired key(s) before service: %w", n, context.DeadlineExceeded)
 }
-
-// pickReplica chooses the replica with the most scheduling headroom:
-// credit balance (when a controller is attached) minus outstanding
-// forecasted work. ReplicaPrimary pins to the group's first replica
-// instead (the flat client has no down-marking, so no fallback applies).
-func (c *Client) pickReplica(reps []cluster.ServerID, pref ReplicaPreference) cluster.ServerID {
-	if pref == ReplicaPrimary {
-		return reps[0]
-	}
-	best := reps[0]
-	bestH := c.headroom(best)
-	for _, cand := range reps[1:] {
-		if h := c.headroom(cand); h > bestH {
-			best, bestH = cand, h
-		}
-	}
-	return best
-}
-
-func (c *Client) headroom(s cluster.ServerID) float64 {
-	h := -float64(c.outstanding[s].Load())
-	if c.credits != nil {
-		h += c.credits.balance(int(s))
-	}
-	return h
-}
-
-// Outstanding returns the client's estimated in-flight work at server s
-// (test hook).
-func (c *Client) Outstanding(s cluster.ServerID) int64 { return c.outstanding[s].Load() }
 
 // NotOwnerError is a write rejection by a server that does not own the
 // key under its (newer) topology: the caller should refresh its cached
@@ -464,8 +84,8 @@ func (e *NotOwnerError) Error() string {
 	return fmt.Sprintf("netstore: server does not own key (its epoch %d says shard %d)", e.Epoch, e.OwnerShard)
 }
 
-// writeRoute is the topology routing header stamped on Set/Del frames;
-// the zero value means "not epoch-routed" (flat clients, legacy loads).
+// writeRoute is the topology routing header stamped on Set/Del frames:
+// the shard the client routes the key to and the epoch it routes under.
 type writeRoute struct {
 	shard int
 	epoch uint64

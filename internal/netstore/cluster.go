@@ -302,10 +302,9 @@ type Cluster struct {
 // (run `brb-controller -shards S -replicas R` so grants cover the dense
 // shard·R+replica server space): demand reports flow every interval, and
 // replica selection prefers positive-balance replicas before falling back
-// to pure C3 ranking — credits steer placement across shards the same way
-// they steer it across a flat tier. Grants cover the server-ID space of
-// the topology at attach time; servers added by later rebalances run
-// uncredited until re-attach.
+// to pure C3 ranking (credits steer, never block). Grants cover the
+// server-ID space of the topology at attach time; servers added by later
+// rebalances run uncredited until re-attach.
 func (c *Cluster) AttachController(addr string, interval time.Duration) error {
 	st := c.state.Load()
 	g, err := dialCreditGate(addr, st.topo.NumServers(), c.opts.Client, c.opts.DialTimeout, interval)
@@ -1026,50 +1025,119 @@ func (c *Cluster) Multiget(ctx context.Context, keys []string, opts ReadOptions)
 	}
 	subs := core.Prepare(task, c.opts.Assigner)
 	res.Bottleneck = core.Bottleneck(subs)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(subs))
-	for i := range subs {
-		sub := &subs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := shardBatch{
-				shard:  int(sub.Group),
-				taskID: task.ID,
-				cost:   sub.Cost,
-				keys:   make([]string, len(sub.Requests)),
-				prios:  make([]int64, len(sub.Requests)),
-				idx:    make([]int, len(sub.Requests)),
-			}
-			for j, r := range sub.Requests {
-				b.keys[j] = keys[r.ID]
-				b.prios[j] = r.Priority + opts.PriorityBias
-				b.idx[j] = int(r.ID)
-			}
-			if ferr := c.fetchBatch(ctx, st, b, res, 0, opts); ferr != nil {
-				errCh <- ferr
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
+	err = c.fetchSubs(ctx, st, task.ID, subs, keys, res, opts)
 	res.Latency = time.Since(start)
 	multigetLatencyNS.Record(res.Latency.Nanoseconds())
-	var errs []error
-	for e := range errCh {
-		errs = append(errs, e)
-	}
-	if len(errs) > 0 {
-		return res, errors.Join(errs...)
-	}
-	return res, nil
+	return res, err
 }
 
-// shardBatch is one shard's worth of a multiget: keys, their BRB
-// priorities, and their slots in the original key list. Stray keys
-// re-bucket into fresh shardBatches under the refreshed topology.
+// fetchSubs scatter-gathers a multiget's per-shard sub-tasks as wire
+// batches. The first batch runs on the caller's goroutine, so the common
+// one-batch multiget costs no goroutine, WaitGroup or error slice at
+// all; the rest each get a goroutine, and their errors are joined.
+func (c *Cluster) fetchSubs(ctx context.Context, st *topoState, taskID uint64, subs []core.SubTask, keys []string, res *TaskResult, opts ReadOptions) error {
+	var buf [4]shardBatch
+	batches := buf[:0]
+	for i := range subs {
+		batches = c.appendBatches(batches, st, taskID, &subs[i], keys, opts)
+	}
+	if len(batches) == 1 {
+		return c.fetchBatch(ctx, st, batches[0], res, 0, opts)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(batches))
+	for i := 1; i < len(batches); i++ {
+		wg.Add(1)
+		go func(b shardBatch) {
+			defer wg.Done()
+			errs[i] = c.fetchBatch(ctx, st, b, res, 0, opts)
+		}(batches[i])
+	}
+	errs[0] = c.fetchBatch(ctx, st, batches[0], res, 0, opts)
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// appendBatches turns one shard's sub-task into wire batches — keys, BRB
+// priorities shifted by the call's bias, and result slots — and appends
+// them to bs. A shard with one replica, a one-key sub-task and a primary
+// pin each make one batch, ranked by C3 score when it is sent. Otherwise
+// the keys spread over the shard's live replicas by headroom, as BRB's
+// credits strategy places requests: each goes to the replica that would
+// finish it first given its work in flight, the sub-task's earlier keys
+// included (c3.Scorer.Spread), among replicas the client still holds
+// credits for when a controller is attached. Each replica's part is one
+// batch that asks it first, so a large sub-task does not queue whole at
+// one replica.
+func (c *Cluster) appendBatches(bs []shardBatch, st *topoState, taskID uint64, sub *core.SubTask, keys []string, opts ReadOptions) []shardBatch {
+	shard, n := int(sub.Group), len(sub.Requests)
+	var picks []int
+	if st.topo.Replicas() > 1 && n > 1 && opts.Replica != ReplicaPrimary {
+		picks = make([]int, n)
+		live := func(r int) bool { return !st.slotOf(shard, r).down.Load() }
+		scorer := st.scorers[shard]
+		if c.credits == nil || !scorer.Spread(picks, func(r int) bool {
+			return live(r) && c.credits.balance(st.topo.Server(shard, r)) > 0
+		}) {
+			if !scorer.Spread(picks, live) {
+				// Every replica is down: one ranked batch takes fetchBatch's
+				// exhausted-shard path.
+				picks = nil
+			}
+		}
+	}
+	if picks == nil {
+		return append(bs, c.subBatch(taskID, sub, keys, opts, -1, nil))
+	}
+	for r := 0; r < st.topo.Replicas(); r++ {
+		if b := c.subBatch(taskID, sub, keys, opts, r, picks); len(b.keys) > 0 {
+			bs = append(bs, b)
+		}
+	}
+	return bs
+}
+
+// subBatch builds the batch of sub's requests whose picks entry is rep
+// (every request when picks is nil), to be asked of replica rep first
+// (rep < 0 ranks it when sent).
+func (c *Cluster) subBatch(taskID uint64, sub *core.SubTask, keys []string, opts ReadOptions, rep int, picks []int) shardBatch {
+	n := len(sub.Requests)
+	if picks != nil {
+		n = 0
+		for _, p := range picks {
+			if p == rep {
+				n++
+			}
+		}
+	}
+	b := shardBatch{
+		shard:  int(sub.Group),
+		first:  rep,
+		taskID: taskID,
+		keys:   make([]string, 0, n),
+		prios:  make([]int64, 0, n),
+		idx:    make([]int, 0, n),
+	}
+	for j, r := range sub.Requests {
+		if picks != nil && picks[j] != rep {
+			continue
+		}
+		b.keys = append(b.keys, keys[r.ID])
+		b.prios = append(b.prios, r.Priority+opts.PriorityBias)
+		b.idx = append(b.idx, int(r.ID))
+		b.cost += r.EstCost
+	}
+	return b
+}
+
+// shardBatch is one shard's worth of a multiget, or one replica's part
+// of it: keys, their BRB priorities, and their slots in the original key
+// list. Stray keys re-bucket into fresh shardBatches under the refreshed
+// topology.
 type shardBatch struct {
-	shard  int
+	shard int
+	// first is the replica to ask first, or -1 to rank by C3 score.
+	first  int
 	taskID uint64
 	cost   int64
 	keys   []string
@@ -1101,18 +1169,27 @@ func (c *Cluster) fetchBatch(ctx context.Context, st *topoState, b shardBatch, r
 	n := len(b.keys)
 	pref := opts.Replica
 	pol := opts.Hedge.withDefaults()
-	tried := make([]bool, st.topo.Replicas())
+	// tried marks the replicas this call has asked. The stack buffer
+	// covers any common replication factor without an allocation.
+	var triedBuf [8]bool
+	tried := triedBuf[:]
+	if r := st.topo.Replicas(); r > len(triedBuf) {
+		tried = make([]bool, r)
+	}
 	eligible := func(r int) bool {
 		return !tried[r] && !st.slotOf(b.shard, r).down.Load()
 	}
 	for {
-		// Replica preference: primary pins to replica 0 while it is
-		// live, then falls back to ranked selection. With a controller
+		// Replica preference: a spread part asks its picked replica
+		// first; primary pins to replica 0 while it is live; both then
+		// fall back to ranked selection. With a controller
 		// attached, prefer replicas the client still holds credits for;
 		// fall back to pure C3 ranking when every eligible balance is
 		// exhausted (credits steer, never block).
 		rep := -1
-		if pref == ReplicaPrimary && eligible(0) {
+		if b.first >= 0 && eligible(b.first) {
+			rep = b.first
+		} else if pref == ReplicaPrimary && eligible(0) {
 			rep = 0
 		}
 		if rep < 0 && c.credits != nil {
@@ -1301,7 +1378,7 @@ func (c *Cluster) retryStrays(ctx context.Context, st *topoState, b shardBatch, 
 		sh := nst.topo.ShardOfKey(k)
 		nb := buckets[sh]
 		if nb == nil {
-			nb = &shardBatch{shard: sh, taskID: b.taskID, cost: b.cost}
+			nb = &shardBatch{shard: sh, first: -1, taskID: b.taskID, cost: b.cost}
 			buckets[sh] = nb
 		}
 		nb.keys = append(nb.keys, k)

@@ -57,8 +57,8 @@ func (m HedgeMode) String() string {
 }
 
 // HedgePolicy configures hedged reads (ReadOptions.Hedge). The zero
-// value disables hedging. Honored by Cluster; the flat Client and Local
-// have no replica ranking to hedge across and ignore it.
+// value disables hedging. Honored by Cluster; Local has no replicas to
+// hedge across and ignores it.
 type HedgePolicy struct {
 	// Mode selects off (default), fixed-delay, or adaptive-quantile
 	// triggering.

@@ -21,8 +21,10 @@ import (
 // bounds these calls).
 var bg = context.Background()
 
-// startCluster launches n servers on loopback and returns their addresses
-// plus a shutdown func.
+// startCluster launches n unsharded servers on loopback and returns
+// their addresses plus a shutdown func. The servers check no shard
+// ownership, so a client may lay keys over them in any shard topology:
+// dialOneShard sees them as one shard of n replicas.
 func startCluster(t *testing.T, n int, opts ServerOptions) ([]string, []*Server, func()) {
 	t.Helper()
 	addrs := make([]string, n)
@@ -46,27 +48,33 @@ func startCluster(t *testing.T, n int, opts ServerOptions) ([]string, []*Server,
 	}
 }
 
-func testTopo(t *testing.T, servers int) *cluster.Topology {
-	t.Helper()
-	return cluster.MustNew(cluster.Config{Servers: servers, Replication: min(3, servers)})
+// oneShard is the layout of startCluster's n servers: one shard that
+// holds every key on every server.
+func oneShard(n int) *cluster.ShardTopology {
+	return cluster.MustNewShardTopology(cluster.ShardConfig{Shards: 1, Replicas: n})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// dialOneShard connects a Cluster to startCluster's servers and closes
+// it when the test ends.
+func dialOneShard(t *testing.T, addrs []string, opts ClusterOptions) *Cluster {
+	t.Helper()
+	opts.Topology = oneShard(len(addrs))
+	c, err := DialCluster(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b
+	t.Cleanup(c.Close)
+	return c
 }
+
+// conn0 is a client's connection to replica 0 of shard 0, for tests
+// that drive raw wire batches.
+func conn0(c *Cluster) *serverConn { return c.state.Load().slotOf(0, 0).primary() }
 
 func TestSetAndTaskRoundTrip(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, addrs, ClusterOptions{})
 
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("track:%d", i)
@@ -99,11 +107,7 @@ func TestSetAndTaskRoundTrip(t *testing.T) {
 func TestEmptyTask(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	c, err := Dial(addrs, ClientOptions{Topology: testTopo(t, 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, addrs, ClusterOptions{})
 	res, err := c.Multiget(bg, nil, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +117,51 @@ func TestEmptyTask(t *testing.T) {
 	}
 }
 
-func TestWritesReplicated(t *testing.T) {
+// A multi-key read on one shard of three idle replicas spreads its keys
+// over all three, one batch each; ReplicaPrimary keeps it whole on
+// replica 0.
+func TestMultigetSpreadsOverReplicas(t *testing.T) {
 	addrs, servers, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
+	c := dialOneShard(t, addrs, ClusterOptions{})
+	keys := make([]string, 9)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if err := c.Set(bg, keys[i], []byte("v"), WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Multiget(bg, keys, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	for i, ok := range res.Found {
+		if !ok {
+			t.Fatalf("key %s not found", keys[i])
+		}
+	}
+	for sid, srv := range servers {
+		if got := srv.Served(); got != 3 {
+			t.Fatalf("replica %d served %d keys, want 3 of 9", sid, got)
+		}
+	}
+	if _, err := c.Multiget(bg, keys, ReadOptions{Replica: ReplicaPrimary}); err != nil {
+		t.Fatal(err)
+	}
+	if got := servers[0].Served(); got != 3+9 {
+		t.Fatalf("primary served %d keys, want 12", got)
+	}
+}
+
+func TestWritesReplicated(t *testing.T) {
+	addrs, servers, stop := startCluster(t, 3, ServerOptions{})
+	defer stop()
+	c := dialOneShard(t, addrs, ClusterOptions{})
 	if err := c.Set(bg, "k1", []byte("v1"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	g := topo.GroupOfKey("k1")
-	for _, sid := range topo.Replicas(g) {
-		if _, ok := servers[sid].Store().Get("k1"); !ok {
+	for sid, srv := range servers {
+		if _, ok := srv.Store().Get("k1"); !ok {
 			t.Fatalf("replica %d missing k1", sid)
 		}
 	}
@@ -136,12 +170,7 @@ func TestWritesReplicated(t *testing.T) {
 func TestClientDelete(t *testing.T) {
 	addrs, servers, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
-	c, err := Dial(addrs, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, addrs, ClusterOptions{})
 	if err := c.Set(bg, "k1", []byte("v1"), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +183,8 @@ func TestClientDelete(t *testing.T) {
 	if _, ok := c.sizes.Load("k1"); ok {
 		t.Fatal("size cache not invalidated on Delete")
 	}
-	g := topo.GroupOfKey("k1")
-	for _, sid := range topo.Replicas(g) {
-		if _, ok := servers[sid].Store().Get("k1"); ok {
+	for sid, srv := range servers {
+		if _, ok := srv.Store().Get("k1"); ok {
 			t.Fatalf("replica %d still stores deleted k1", sid)
 		}
 	}
@@ -199,19 +227,13 @@ func TestPriorityOrderOnServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, []string{ln.Addr().String()}, ClusterOptions{})
 
 	issue := func(prio int64) chan struct{} {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -277,13 +299,7 @@ func TestPriorityBiasOrdersAcrossCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo, Assigner: core.Oblivious{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, []string{ln.Addr().String()}, ClusterOptions{Assigner: core.Oblivious{}})
 
 	issue := func(bias int64) chan struct{} {
 		done := make(chan struct{})
@@ -351,19 +367,14 @@ func TestFIFOOrderOnServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, []string{ln.Addr().String()}, ClusterOptions{})
 
 	var wg sync.WaitGroup
 	issue := func(prio int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -392,11 +403,7 @@ func TestFIFOOrderOnServer(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{Workers: 4})
 	defer stop()
-	topo := testTopo(t, 3)
-	loader, err := Dial(addrs, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := dialOneShard(t, addrs, ClusterOptions{})
 	for i := 0; i < 60; i++ {
 		if err := loader.Set(bg, fmt.Sprintf("key:%d", i), make([]byte, 64), WriteOptions{}); err != nil {
 			t.Fatal(err)
@@ -410,7 +417,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addrs, ClientOptions{Topology: topo, Client: w})
+			c, err := DialCluster(addrs, ClusterOptions{Topology: oneShard(3), Client: w})
 			if err != nil {
 				t.Error(err)
 				return
@@ -443,23 +450,18 @@ func TestConcurrentClients(t *testing.T) {
 func TestControllerGrantsFlow(t *testing.T) {
 	addrs, _, stop := startCluster(t, 3, ServerOptions{})
 	defer stop()
-	topo := testTopo(t, 3)
 
 	ctrl := NewControllerServer(ControllerOptions{
 		Clients: 2, Servers: 3, CapacityPerNano: 4, Interval: 20 * time.Millisecond,
 	})
-	defer ctrl.Close()
+	t.Cleanup(ctrl.Close) // after the client's Close: the controller waits out its connections
 	cln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = ctrl.Serve(cln) }()
 
-	c, err := Dial(addrs, ClientOptions{Topology: topo, Client: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialOneShard(t, addrs, ClusterOptions{Client: 0})
 	if err := c.AttachController(cln.Addr().String(), 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +496,10 @@ func TestControllerGrantsFlow(t *testing.T) {
 // networked store must reproduce the paper's ordering — task-aware
 // priority scheduling (BRB) beats FIFO scheduling at the tail under a
 // bursty fan-out workload with size-dependent service times.
+//
+// The servers are one shard of three replicas: the client spreads each
+// task's keys over them, so tasks share the servers' queues and the
+// discipline decides who waits.
 func TestNetFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback latency experiment")
@@ -514,10 +520,10 @@ func TestNetFigure2Shape(t *testing.T) {
 		opts := ServerOptions{Workers: 2, Discipline: disc, ServiceDelay: delay}
 		addrs, _, stop := startCluster(t, servers, opts)
 		defer stop()
-		topo := testTopo(t, servers)
 
 		// Load: heavy-tailed value sizes, identical across runs.
-		loader, err := Dial(addrs, ClientOptions{Topology: topo})
+		m := oneShard(servers)
+		loader, err := DialCluster(addrs, ClusterOptions{Topology: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,7 +544,7 @@ func TestNetFigure2Shape(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c, err := Dial(addrs, ClientOptions{Topology: topo, Client: w, Assigner: assigner})
+				c, err := DialCluster(addrs, ClusterOptions{Topology: m, Client: w, Assigner: assigner})
 				if err != nil {
 					t.Error(err)
 					return
@@ -618,15 +624,5 @@ func TestServerCloseUnblocksWorkers(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not unblock idle workers")
-	}
-}
-
-func TestDialValidation(t *testing.T) {
-	if _, err := Dial([]string{"127.0.0.1:1"}, ClientOptions{}); err == nil {
-		t.Fatal("missing topology accepted")
-	}
-	topo := cluster.MustNew(cluster.Config{Servers: 2, Replication: 1})
-	if _, err := Dial([]string{"127.0.0.1:1"}, ClientOptions{Topology: topo}); err == nil {
-		t.Fatal("address/server count mismatch accepted")
 	}
 }

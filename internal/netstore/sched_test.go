@@ -15,15 +15,15 @@ import (
 	"testing"
 	"time"
 
-	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/kv"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
 // startSchedServer launches one loopback server with the given options
-// and a connected flat client; values encode their priority as
-// len(value)-1 so the ServiceDelay hook can observe service order.
-func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *Client) {
+// and a connected 1-shard × 1-replica client; values encode their
+// priority as len(value)-1 so the ServiceDelay hook can observe service
+// order.
+func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *Cluster) {
 	t.Helper()
 	srv := NewServer(kv.New(0), opts)
 	t.Cleanup(srv.Close)
@@ -35,13 +35,7 @@ func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(ln) }()
-	topo := cluster.MustNew(cluster.Config{Servers: 1, Replication: 1})
-	c, err := Dial([]string{ln.Addr().String()}, ClientOptions{Topology: topo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return srv, c
+	return srv, dialOneShard(t, []string{ln.Addr().String()}, ClusterOptions{})
 }
 
 // TestSchedStealStarvationFreedom: a lone worker homed on shard 0 must
@@ -51,7 +45,7 @@ func startSchedServer(t *testing.T, opts ServerOptions, prios []int) (*Server, *
 func TestSchedStealStarvationFreedom(t *testing.T) {
 	srv, c := startSchedServer(t, ServerOptions{Workers: 1, SchedShards: 4}, []int{0, 1, 2, 3})
 	for _, p := range []int{0, 1, 2, 3} {
-		resp, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{int64(p)}, Keys: []string{fmt.Sprintf("k%d", p)}})
+		resp, err := conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{int64(p)}, Keys: []string{fmt.Sprintf("k%d", p)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +84,7 @@ func TestSchedPerShardPriorityOrder(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if _, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
+			if _, err := conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -138,7 +132,7 @@ func TestSchedBudgetShedAfterSteal(t *testing.T) {
 	issue := func(prio int64, budget int64) chan *wire.BatchResp {
 		out := make(chan *wire.BatchResp, 1)
 		go func() {
-			resp, err := c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Budget: budget, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
+			resp, err := conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Budget: budget, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
 			if err != nil {
 				t.Error(err)
 			}
@@ -177,7 +171,7 @@ func TestSchedCloseDuringSteal(t *testing.T) {
 		go func() {
 			// Errors are expected here: Close may tear the connection
 			// down before (or while) the response is written.
-			_, _ = c.conns[0].batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
+			_, _ = conn0(c).batch(bg, &wire.BatchReq{TaskID: 1, Priority: []int64{prio}, Keys: []string{fmt.Sprintf("k%d", prio)}})
 		}()
 	}
 	fi.StallNext(2)

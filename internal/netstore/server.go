@@ -64,8 +64,9 @@ type ServerOptions struct {
 	// different shard are rejected with wire.FlagMisrouted instead of
 	// silently answering "not found" for keys the server never stored.
 	Shard int
-	// CheckShard enables shard validation. Single-tier deployments (the
-	// plain Client) leave it off and the server accepts every batch.
+	// CheckShard enables shard validation. Unsharded deployments
+	// (`brb-server -listen`) leave it off and the server accepts every
+	// batch.
 	// With a topology installed (SetTopology or a wire push), validation
 	// upgrades from the whole-batch header check to per-key ownership:
 	// keys the topology assigns elsewhere are rejected as strays
@@ -744,7 +745,7 @@ var (
 // ownsKey reports whether this server accepts a write for key under its
 // current topology. Without CheckShard, or before any topology is
 // installed, every key is owned (writes were never ownership-checked
-// pre-topology, and flat deployments must keep working).
+// pre-topology, and unsharded deployments must keep working).
 //
 // writerEpoch is the topology epoch the writer routed under. A writer
 // AHEAD of this server — the rebalancer streaming a migration before

@@ -12,10 +12,10 @@ package netstore
 // service time on answers nobody is waiting for — deadline-aware
 // shedding in the spirit of receiver-driven transports.
 //
-// Three implementations share the interface: Client (flat replicated
-// tier), Cluster (sharded, epoch-routed, self-healing), and Local (an
-// in-process kv.Store — what tests and tools program against when the
-// network is beside the point).
+// Two implementations share the interface: Cluster (sharded,
+// epoch-routed, self-healing; one shard of R replicas is the unsharded
+// replicated tier) and Local (an in-process kv.Store — what tests and
+// tools program against when the network is beside the point).
 
 import (
 	"context"
@@ -28,7 +28,7 @@ import (
 
 // Store is the request API of the BRB data store: batched, task-aware
 // reads and replicated writes, all context-first. Implementations:
-// *Client, *Cluster, *Local.
+// *Cluster, *Local.
 //
 // Deadlines: the effective deadline of a call is the earliest of the
 // ctx deadline, the per-call options Timeout, and (when ctx carries no
@@ -52,9 +52,8 @@ type Store interface {
 	Close()
 }
 
-// Compile-time interface checks: the three stores present one API.
+// Compile-time interface checks: both stores present one API.
 var (
-	_ Store = (*Client)(nil)
 	_ Store = (*Cluster)(nil)
 	_ Store = (*Local)(nil)
 )
@@ -63,8 +62,9 @@ var (
 type ReplicaPreference int
 
 const (
-	// ReplicaAuto ranks replicas load-awarely (C3 scores on the cluster
-	// client, outstanding-work headroom on the flat client). The default.
+	// ReplicaAuto spreads a multi-key sub-task over its replicas by
+	// expected finish time and ranks a one-key sub-task by C3 score, both
+	// preferring replicas with controller credits left. The default.
 	ReplicaAuto ReplicaPreference = iota
 	// ReplicaPrimary prefers replica index 0 while it is live —
 	// deterministic routing for tests and read-your-writes-ish tooling —
@@ -82,8 +82,8 @@ type ReadOptions struct {
 	// Replica selects the replica-preference policy.
 	Replica ReplicaPreference
 	// Hedge configures tail-cutting hedged reads (see HedgePolicy). The
-	// zero value disables hedging. Honored by Cluster; the flat Client
-	// and Local have no replica ranking to hedge across and ignore it.
+	// zero value disables hedging. Honored by Cluster; Local has no
+	// replicas to hedge across and ignores it.
 	Hedge HedgePolicy
 	// PriorityBias shifts the task-aware wire priority of every key this
 	// call issues (lower priorities serve sooner, so a positive bias
