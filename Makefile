@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet fmt test race bench perfbench-test load-smoke check clean
+.PHONY: all build lint vet fmt test race bench perfbench-test load-smoke fault-smoke check clean
 
 all: build
 
@@ -48,6 +48,24 @@ load-smoke:
 	$(GO) run ./cmd/brb-load -spawn -replication 3 \
 		-keys 300 -tasks 1000 -clients 2 -fanout 8.6 -burst-prob 0.02 \
 		| tee /dev/stderr | grep -E 'task latency: n=1000 '
+
+# CI's replica-outage smoke: -kill-replica stops a spawned replica
+# mid-run and restarts it over its surviving store, -crash-replica
+# hard-kills one and restarts it from its WAL. Both run the open-loop,
+# delete-heavy spec, whose Poisson schedule lasts about 2 s on any
+# machine, so the 0.8 s outage falls within the load; each run must say
+# so and end with its replica check passing.
+fault-smoke:
+	out=$$($(GO) run ./cmd/brb-load -spawn -shards 2 -replication 2 \
+		-spec cmd/brb-load/testdata/delete-mix.yaml \
+		-kill-replica 1 -kill-after 500ms -restart-after 300ms -probe-interval 50ms 2>&1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'outage .* fell within the load' && echo "$$out" | grep -q 'convergence: OK'
+	out=$$($(GO) run ./cmd/brb-load -spawn -shards 1 -replication 2 \
+		-spec cmd/brb-load/testdata/delete-mix.yaml \
+		-crash-replica 1 -crash-after 500ms -recover-after 300ms -probe-interval 50ms 2>&1); \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'outage .* fell within the load' && echo "$$out" | grep -q 'crash-recovery: OK'
 
 check: fmt lint build test race perfbench-test
 

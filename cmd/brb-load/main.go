@@ -19,14 +19,19 @@
 //	         -replication 3 -keys 1000 -tasks 5000 -fanout 8.6 \
 //	         -assigner EqualMax [-controller 127.0.0.1:7080]
 //
-// Fault injection: -kill-replica severs one replica's connectivity
-// mid-run through an in-process TCP proxy and restores it later,
-// exercising the client's down-marking, hinted handoff, revival probing,
+// Replica outage (requires -spawn): -kill-replica stops one in-process
+// server mid-run (Server.Close: live connections drop, dials fail) and
+// restarts it on its old address after -restart-after, over its
+// surviving store, or from its data directory on a durable spawn. This
+// exercises the client's down-marking, hinted handoff, revival probing,
 // and read-repair; -write-frac mixes writes into the measurement phase so
-// the outage creates real divergence. A post-run scan reports whether the
-// shard's replicas version-converged:
+// the outage creates real divergence. The run logs whether the outage
+// fell within the load (a closed-loop run can finish before
+// -kill-after), and a post-run netstore.CheckReplicas scan reports
+// whether every shard's replicas version-converged and hold every
+// acked write:
 //
-//	brb-load -shards 3 -replication 2 -servers ... \
+//	brb-load -shards 3 -replication 2 -spawn \
 //	         -write-frac 0.1 -kill-replica 4 -kill-after 2s -restart-after 3s
 //
 // Tail-cutting: -spawn runs the cluster's servers in-process with fault
@@ -56,8 +61,8 @@
 // -remove-shard-after drains the highest shard onto the survivors. Both
 // push the epoch-versioned topology to every server at startup, run the
 // migration under the measurement load, and finish with a convergence
-// scan proving every key lives on exactly its new owner with all
-// replicas agreeing:
+// scan proving every key lives on its new owner with all replicas
+// agreeing and no acked write lost:
 //
 //	brb-load -shards 3 -replication 2 -servers ... \
 //	         -write-frac 0.1 -add-shard-after 2s
@@ -67,7 +72,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -101,9 +105,9 @@ func main() {
 	skipLoad := flag.Bool("skip-load", false, "skip the initial data load")
 	allocStats := flag.Bool("allocstats", false, "report client-process allocs/op and bytes/op over the measurement phase")
 	writeFrac := flag.Float64("write-frac", 0, "fraction of tasks that are writes instead of multigets (fault runs need >0 to create divergence)")
-	killReplica := flag.Int("kill-replica", -1, "dense server index to fault mid-run (-1 = no fault injection)")
+	killReplica := flag.Int("kill-replica", -1, "dense server index stopped mid-run and restarted on its address (requires -spawn; -1 = off)")
 	killAfter := flag.Duration("kill-after", 2*time.Second, "measurement time before the fault is injected")
-	restartAfter := flag.Duration("restart-after", 3*time.Second, "outage duration before the replica is restored")
+	restartAfter := flag.Duration("restart-after", 3*time.Second, "outage duration before the stopped replica restarts")
 	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "cluster client's replica revival probe interval")
 	addShardAfter := flag.Duration("add-shard-after", 0, "measurement time before a new shard is added live (0 = off)")
 	removeShardAfter := flag.Duration("remove-shard-after", 0, "measurement time before the highest shard is drained live (0 = off)")
@@ -215,126 +219,68 @@ func main() {
 	}
 	totalConns := countStreams(wops)
 
-	// Crash recovery needs -spawn (the run must own the *Server handle to
-	// hard-kill it) and a surviving sibling so writes keep succeeding and
-	// hinted handoff has a donor during the outage.
-	if *crashReplica >= 0 {
+	// Every fault flag acts on an in-process server, so all of them need
+	// -spawn; a crash also needs a surviving sibling so writes keep
+	// succeeding and hinted handoff has a donor during the outage.
+	n := *shards * *replication
+	for _, f := range []struct {
+		name   string
+		server int
+	}{{"kill-replica", *killReplica}, {"crash-replica", *crashReplica}, {"slow-replica", *slowReplica}} {
 		switch {
+		case f.server < 0:
 		case !*spawn:
-			fmt.Fprintln(os.Stderr, "brb-load: -crash-replica needs -spawn (the crash kills an in-process server)")
+			fmt.Fprintf(os.Stderr, "brb-load: -%s needs -spawn (it faults an in-process server)\n", f.name)
 			os.Exit(2)
-		case *replication < 2:
-			fmt.Fprintln(os.Stderr, "brb-load: -crash-replica needs -replication >= 2 (writes during the outage need a surviving replica)")
-			os.Exit(2)
-		case *killReplica >= 0:
-			fmt.Fprintln(os.Stderr, "brb-load: -crash-replica and -kill-replica are mutually exclusive (process crash vs connectivity fault)")
+		case f.server >= n:
+			fmt.Fprintf(os.Stderr, "brb-load: -%s %d out of range (%d servers)\n", f.name, f.server, n)
 			os.Exit(2)
 		}
+	}
+	rebalancing := *addShardAfter > 0 || *removeShardAfter > 0
+	switch {
+	case *crashReplica >= 0 && *replication < 2:
+		fmt.Fprintln(os.Stderr, "brb-load: -crash-replica needs -replication >= 2 (writes during the outage need a surviving replica)")
+		os.Exit(2)
+	case *crashReplica >= 0 && *killReplica >= 0:
+		fmt.Fprintln(os.Stderr, "brb-load: -crash-replica and -kill-replica are mutually exclusive (hard kill vs graceful stop)")
+		os.Exit(2)
+	case rebalancing && (*killReplica >= 0 || *crashReplica >= 0):
+		fmt.Fprintln(os.Stderr, "brb-load: -add-shard-after/-remove-shard-after exclude -kill-replica/-crash-replica")
+		os.Exit(2)
 	}
 
 	// -spawn runs the whole cluster in this process, each server with a
 	// FaultInjector attached — the self-contained way to demonstrate
-	// tail-cutting: slow one replica by a service-latency factor and
-	// watch hedged reads hold p999 down. With -crash-replica or
-	// -data-dir, every spawned server is durable: its store is backed by
-	// a per-server WAL + snapshot directory it can be recovered from.
-	var injectors []*netstore.FaultInjector
-	var spawned []*netstore.Server
-	var spawnDirs []string
-	var fsyncPolicy kv.FsyncPolicy
-	durableSpawn := *spawn && (*crashReplica >= 0 || *dataDir != "")
-	if *spawn {
-		n := *shards * *replication
-		if *crashReplica >= n {
-			fmt.Fprintf(os.Stderr, "brb-load: -crash-replica %d out of range (%d servers)\n", *crashReplica, n)
-			os.Exit(2)
-		}
-		if durableSpawn {
-			fsyncPolicy, err = kv.ParseFsyncPolicy(*fsyncFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "brb-load:", err)
-				os.Exit(2)
-			}
-			root := *dataDir
-			if root == "" {
-				root, err = os.MkdirTemp("", "brb-load-wal-")
-				if err != nil {
-					log.Fatalf("brb-load: temp data dir: %v", err)
-				}
-				defer os.RemoveAll(root)
-			}
-			spawnDirs = make([]string, n)
-			for i := range spawnDirs {
-				spawnDirs[i] = filepath.Join(root, fmt.Sprintf("server-%d", i))
-			}
-			log.Printf("durable spawn: WAL + snapshots under %s (fsync=%s)", root, fsyncPolicy)
-		}
-		addrs = make([]string, n)
-		injectors = make([]*netstore.FaultInjector, n)
-		spawned = make([]*netstore.Server, n)
-		for s := 0; s < *shards; s++ {
-			for r := 0; r < *replication; r++ {
-				i := s**replication + r
-				injectors[i] = netstore.NewFaultInjector()
-				opts := netstore.ServerOptions{
-					Workers: 4, Shard: s, CheckShard: true, Fault: injectors[i],
-				}
-				var srv *netstore.Server
-				if durableSpawn {
-					opts.DataDir = spawnDirs[i]
-					opts.Fsync = fsyncPolicy
-					srv, _, err = netstore.NewDurableServer(kv.New(0), opts)
-					if err != nil {
-						log.Fatalf("brb-load: spawn durable server %d: %v", i, err)
-					}
-				} else {
-					srv = netstore.NewServer(kv.New(0), opts)
-				}
-				spawned[i] = srv
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					log.Fatalf("brb-load: spawn listener: %v", err)
-				}
-				go func() { _ = srv.Serve(ln) }()
-				addrs[i] = ln.Addr().String()
-			}
-		}
-		log.Printf("spawned %d in-process servers (%d shards × %d replicas)", n, *shards, *replication)
-	}
-	if *slowReplica >= 0 {
-		if !*spawn {
-			fmt.Fprintln(os.Stderr, "brb-load: -slow-replica needs -spawn (the injector lives in the server process)")
-			os.Exit(2)
-		}
-		if *slowReplica >= len(injectors) {
-			fmt.Fprintf(os.Stderr, "brb-load: -slow-replica %d out of range (%d servers)\n", *slowReplica, len(injectors))
-			os.Exit(2)
-		}
-	}
-
-	// Fault injection fronts the victim with an in-process TCP proxy so
-	// the run can sever and restore connectivity without owning the
-	// server process. realAddrs keeps the direct addresses for the
-	// post-run convergence scan.
-	realAddrs := append([]string(nil), addrs...)
-	var proxy *faultProxy
-	if *killReplica >= 0 {
-		if *killReplica >= len(addrs) {
-			fmt.Fprintf(os.Stderr, "brb-load: -kill-replica %d out of range (%d servers)\n", *killReplica, len(addrs))
-			os.Exit(2)
-		}
-		proxy, err = newFaultProxy(addrs[*killReplica])
+	// tail-cutting and recovery. With -crash-replica or -data-dir, every
+	// spawned server is durable: its store is backed by a per-server WAL
+	// + snapshot directory it can be recovered from.
+	fl := &fleet{}
+	if *spawn && (*crashReplica >= 0 || *dataDir != "") {
+		fl.fsync, err = kv.ParseFsyncPolicy(*fsyncFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "brb-load:", err)
 			os.Exit(2)
 		}
-		addrs[*killReplica] = proxy.addr()
+		fl.dir = *dataDir
+		if fl.dir == "" {
+			fl.dir, err = os.MkdirTemp("", "brb-load-wal-")
+			if err != nil {
+				log.Fatalf("brb-load: temp data dir: %v", err)
+			}
+			defer os.RemoveAll(fl.dir)
+		}
+		log.Printf("durable spawn: WAL + snapshots under %s (fsync=%s)", fl.dir, fl.fsync)
 	}
-
-	rebalancing := *addShardAfter > 0 || *removeShardAfter > 0
-	if rebalancing && (*killReplica >= 0 || *crashReplica >= 0) {
-		fmt.Fprintln(os.Stderr, "brb-load: -add-shard-after/-remove-shard-after exclude -kill-replica/-crash-replica")
-		os.Exit(2)
+	if *spawn {
+		addrs = make([]string, n)
+		for i := range addrs {
+			addrs[i], _, err = fl.spawn(i, i / *replication, "127.0.0.1:0", nil)
+			if err != nil {
+				log.Fatalf("brb-load: spawn server %d: %v", i, err)
+			}
+		}
+		log.Printf("spawned %d in-process servers (%d shards × %d replicas)", n, *shards, *replication)
 	}
 
 	shardTopo, err := cluster.NewShardTopology(cluster.ShardConfig{Shards: *shards, Replicas: *replication})
@@ -342,8 +288,6 @@ func main() {
 		err = fmt.Errorf("%d addresses for %d shards × %d replicas", len(addrs), *shards, *replication)
 	}
 	if err == nil {
-		// Clients dial through the fault proxy when one is armed; the
-		// topology carries those client-facing addresses.
 		shardTopo, err = shardTopo.WithAddrs(addrs)
 	}
 	if err != nil {
@@ -379,22 +323,33 @@ func main() {
 	}
 	readOpts := netstore.ReadOptions{Timeout: *deadline, Hedge: hedgePol}
 
-	// Acked-write ground truth for the crash-recovery check: every
-	// version some client saw acknowledged must be served by the
-	// restarted replica afterwards. Each client harvests its
-	// written-version floors here before closing.
+	// Outage and rebalance runs end in a replica check, labelled after
+	// the run's acceptance claim.
+	checkLabel := ""
+	switch {
+	case *killReplica >= 0:
+		checkLabel = "convergence"
+	case *crashReplica >= 0:
+		checkLabel = "crash-recovery"
+	case rebalancing:
+		checkLabel = "rebalance"
+	}
+	// Acked-write ground truth for the replica check: every owner
+	// replica must afterwards hold the newest write some client saw
+	// acknowledged on each key (or a newer one). Each client harvests
+	// its acked writes here before closing.
 	var ackedMu sync.Mutex
-	ackedVers := map[string]uint64{}
+	acked := map[string]netstore.AckedWrite{}
 	harvestAcked := func(cc *netstore.Cluster) {
-		if *crashReplica < 0 {
+		if checkLabel == "" {
 			return
 		}
 		ackedMu.Lock()
 		defer ackedMu.Unlock()
 		for i := 0; i < *keys; i++ {
 			k := fmt.Sprintf("key:%d", i)
-			if v, ok := cc.WrittenVersion(k); ok && v > ackedVers[k] {
-				ackedVers[k] = v
+			if w, ok := cc.LastWrite(k); ok && w.Version > acked[k].Version {
+				acked[k] = w
 			}
 		}
 	}
@@ -422,7 +377,7 @@ func main() {
 	// speed and the measurement phase sees the straggler from its first
 	// task (the C3 scorer and adaptive hedge trigger learn it live).
 	if *slowReplica >= 0 {
-		injectors[*slowReplica].SetDelay(*slowLatency)
+		fl.fault(*slowReplica).SetDelay(*slowLatency)
 		log.Printf("fault: server %d (shard %d replica %d) slowed by %v per request",
 			*slowReplica, *slowReplica / *replication, *slowReplica%*replication, *slowLatency)
 	}
@@ -435,64 +390,41 @@ func main() {
 		runtime.ReadMemStats(&memBefore)
 	}
 	start := time.Now()
-	if proxy != nil {
-		go func() {
-			time.Sleep(*killAfter)
-			proxy.kill()
-			log.Printf("fault: severed server %d (shard %d replica %d)",
-				*killReplica, *killReplica / *replication, *killReplica%*replication)
-			time.Sleep(*restartAfter)
-			proxy.restore()
-			log.Printf("fault: restored server %d", *killReplica)
-		}()
-	}
-	// Crash recovery: hard-kill the victim (Kill aborts its WAL without
-	// flushing — the in-process equivalent of SIGKILL), then restart it
-	// from its data directory on the same address so the clients' revival
-	// probes and hinted handoff find it where they left it.
+	// Replica outage: take the victim down, then restart it on its old
+	// address so the clients' revival probes and hinted handoff find it
+	// where they left it. -kill-replica stops it gracefully and restarts
+	// it over its surviving store (from its data directory on a durable
+	// spawn); -crash-replica hard-kills it (Kill aborts its WAL without
+	// flushing — the in-process equivalent of SIGKILL) and restarts it
+	// from its WAL + snapshot directory.
+	downServer, downAfter, downFor, crash := *killReplica, *killAfter, *restartAfter, false
+	downLabel := "fault"
 	if *crashReplica >= 0 {
-		go func() {
-			time.Sleep(*crashAfter)
-			spawned[*crashReplica].Kill()
-			log.Printf("crash: hard-killed server %d (shard %d replica %d) — no flush, no final snapshot",
-				*crashReplica, *crashReplica / *replication, *crashReplica%*replication)
-			time.Sleep(*recoverAfter)
-			srv, stats, err := netstore.NewDurableServer(kv.New(0), netstore.ServerOptions{
-				Workers: 4, Shard: *crashReplica / *replication, CheckShard: true,
-				Fault: injectors[*crashReplica], DataDir: spawnDirs[*crashReplica], Fsync: fsyncPolicy,
-			})
-			if err != nil {
-				log.Fatalf("brb-load: crash restart: %v", err)
-			}
-			spawned[*crashReplica] = srv
-			// The killed listener's port can take a beat to free; retry
-			// the bind so the replica reappears at its old address.
-			addr := realAddrs[*crashReplica]
-			bindBy := time.Now().Add(10 * time.Second)
-			var ln net.Listener
-			for {
-				ln, err = net.Listen("tcp", addr)
-				if err == nil {
-					break
-				}
-				if time.Now().After(bindBy) {
-					log.Fatalf("brb-load: crash restart rebind %s: %v", addr, err)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			go func() { _ = srv.Serve(ln) }()
-			log.Printf("crash: server %d restarted on %s (snapshot %d: %d entries, %d WAL records, %d corrupt)",
-				*crashReplica, addr, stats.SnapshotIndex, stats.SnapshotEntries, stats.WALRecords, stats.CorruptRecords)
-		}()
+		downServer, downAfter, downFor, crash = *crashReplica, *crashAfter, *recoverAfter, true
+		downLabel = "crash"
 	}
-	// Both fault flavors leave one replica down for a window mid-run; the
-	// clients' post-run wait below keys off the common shape.
-	downServer, outage := -1, time.Duration(0)
-	switch {
-	case proxy != nil:
-		downServer, outage = *killReplica, *killAfter+*restartAfter
-	case *crashReplica >= 0:
-		downServer, outage = *crashReplica, *crashAfter+*recoverAfter
+	if downServer >= 0 {
+		go func() {
+			time.Sleep(downAfter)
+			label, how, note := downLabel, "stopped", ""
+			if crash {
+				how, note = "hard-killed", " — no flush, no final snapshot"
+			}
+			store := fl.stop(downServer, crash)
+			log.Printf("%s: %s server %d (shard %d replica %d)%s", label, how,
+				downServer, downServer / *replication, downServer%*replication, note)
+			time.Sleep(downFor)
+			addr, stats, err := fl.spawn(downServer, downServer / *replication, addrs[downServer], store)
+			if err != nil {
+				log.Fatalf("brb-load: restart server %d: %v", downServer, err)
+			}
+			if fl.dir == "" {
+				log.Printf("%s: server %d restarted on %s over its surviving store", label, downServer, addr)
+				return
+			}
+			log.Printf("%s: server %d restarted on %s (snapshot %d: %d entries, %d WAL records, %d corrupt)",
+				label, downServer, addr, stats.SnapshotIndex, stats.SnapshotEntries, stats.WALRecords, stats.CorruptRecords)
+		}()
 	}
 	// Live rebalance: after the delay, grow (spawning the new shard's
 	// replica servers in-process) or drain a shard while the measurement
@@ -513,15 +445,11 @@ func main() {
 				newID := shardTopo.NextShardID()
 				newAddrs := make([]string, *replication)
 				for r := range newAddrs {
-					srv := netstore.NewServer(kv.New(0), netstore.ServerOptions{
-						Workers: 4, Shard: newID, CheckShard: true,
-					})
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					var err error
+					newAddrs[r], _, err = fl.spawn(shardTopo.NumServers()+r, newID, "127.0.0.1:0", nil)
 					if err != nil {
-						log.Fatalf("brb-load: new shard listener: %v", err)
+						log.Fatalf("brb-load: spawn new shard server: %v", err)
 					}
-					go func() { _ = srv.Serve(ln) }()
-					newAddrs[r] = ln.Addr().String()
 				}
 				log.Printf("rebalance: adding shard %d on %v", newID, newAddrs)
 				nt, err := netstore.AddShard(bg, shardTopo, newAddrs, ropts)
@@ -547,12 +475,18 @@ func main() {
 	// sweep-read the keyspace once so read-repair catches anything the
 	// hint buffer dropped. The engine runs this after a worker's last
 	// op, before closing its store.
+	var lastOpMu sync.Mutex
+	var lastOp time.Duration // when the load's last op finished, from start
 	postWorker := func(client string, worker int, c netstore.Store) {
 		cc := c.(*netstore.Cluster)
 		func() {
 			if downServer < 0 {
 				return
 			}
+			lastOpMu.Lock()
+			lastOp = max(lastOp, time.Since(start))
+			lastOpMu.Unlock()
+			outage := downAfter + downFor
 			shard, rep := downServer / *replication, downServer%*replication
 			if d := time.Until(start.Add(outage)); d > 0 {
 				time.Sleep(d)
@@ -604,20 +538,27 @@ func main() {
 		log.Fatalf("brb-load: run: %v", err)
 	}
 	elapsed := rep.Wall
-	if proxy != nil {
-		checkConvergence(shardTopo, realAddrs, *killReplica / *replication, *keys)
-	}
-	if *crashReplica >= 0 {
-		checkCrashRecovery(shardTopo, realAddrs, *crashReplica, *keys, ackedVers)
-	}
-	if rebalancing {
-		select {
-		case nt := <-finalTopoCh:
-			checkOwnerConvergence(nt, *keys)
-		case <-time.After(30 * time.Second):
-			fmt.Println("rebalance: FAILED — migration did not finish within 30s of the run")
-			os.Exit(1)
+	if downServer >= 0 {
+		// An outage the load outlived is what exercised hinted handoff
+		// and revival under load; say which one this run had.
+		verdict := "fell within the load"
+		if lastOp < downAfter+downFor {
+			verdict = "outlasted the load — no op ran after the restart"
 		}
+		log.Printf("%s: outage %s–%s %s (last op at %s)",
+			downLabel, downAfter, downAfter+downFor, verdict, lastOp.Round(time.Millisecond))
+	}
+	if checkLabel != "" {
+		topo := shardTopo
+		if rebalancing {
+			select {
+			case topo = <-finalTopoCh:
+			case <-time.After(30 * time.Second):
+				fmt.Println("rebalance: FAILED — migration did not finish within 30s of the run")
+				os.Exit(1)
+			}
+		}
+		checkReplicas(checkLabel, topo, *keys, acked)
 	}
 	// The classic whole-run lines aggregate across classes; the
 	// per-class lines follow with the SLO split.
@@ -646,17 +587,11 @@ func main() {
 		fmt.Printf("hedges: fired=%d won=%d wasted=%d\n",
 			h["netstore_hedge_fired_total"], h["netstore_hedge_won_total"], h["netstore_hedge_wasted_total"])
 	}
-	if len(spawned) > 0 {
+	if *spawn {
 		// The steal counter is process-wide, so it only describes this
 		// run's servers when they were spawned in-process.
-		var served uint64
-		for _, srv := range spawned {
-			if srv != nil {
-				served += srv.Served()
-			}
-		}
 		fmt.Printf("sched: steals=%d served_keys=%d\n",
-			metrics.CounterValue("netstore_sched_steals_total"), served)
+			metrics.CounterValue("netstore_sched_steals_total"), fl.served())
 	}
 	if *cacheSize > 0 {
 		cc := metrics.CountersWithPrefix("netstore_cache_")
@@ -682,253 +617,108 @@ func main() {
 	}
 }
 
-// faultProxy fronts one server address with a local TCP proxy so the
-// run can sever ("kill") and restore ("restart") the replica's
-// connectivity without owning the server process: while killed, live
-// proxied connections are cut and new dials are accepted then dropped
-// before any byte flows, so the client's revival probe keeps failing
-// until restore.
-type faultProxy struct {
-	ln     net.Listener
-	target string
+// fleet holds the run's in-process servers by dense server index, each
+// with a FaultInjector that outlives restarts.
+type fleet struct {
+	dir   string // durable: WAL + snapshot root, one server-N directory per server ("" = in-memory)
+	fsync kv.FsyncPolicy
 
-	mu     sync.Mutex
-	killed bool
-	conns  map[net.Conn]struct{}
+	mu      sync.Mutex
+	servers []*netstore.Server
+	faults  []*netstore.FaultInjector
 }
 
-func newFaultProxy(target string) (*faultProxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// fault returns server i's injector, creating it on first use.
+func (f *fleet) fault(i int) *netstore.FaultInjector {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.faults) <= i {
+		f.faults = append(f.faults, netstore.NewFaultInjector())
+		f.servers = append(f.servers, nil)
+	}
+	return f.faults[i]
+}
+
+// spawn starts server i of shard listening on addr ("127.0.0.1:0" for a
+// fresh port) and returns the address it bound. A durable fleet
+// recovers the server from its directory; otherwise it serves store (a
+// fresh one when nil). A restart reuses its predecessor's address, so
+// the bind is retried while the old listener's port frees up.
+func (f *fleet) spawn(i, shard int, addr string, store *kv.Store) (string, kv.ReplayStats, error) {
+	opts := netstore.ServerOptions{Workers: 4, Shard: shard, CheckShard: true, Fault: f.fault(i)}
+	var srv *netstore.Server
+	var stats kv.ReplayStats
+	if f.dir != "" {
+		opts.DataDir, opts.Fsync = filepath.Join(f.dir, fmt.Sprintf("server-%d", i)), f.fsync
+		var err error
+		if srv, stats, err = netstore.NewDurableServer(kv.New(0), opts); err != nil {
+			return "", stats, err
+		}
+	} else {
+		if store == nil {
+			store = kv.New(0)
+		}
+		srv = netstore.NewServer(store, opts)
+	}
+	bindBy := time.Now().Add(10 * time.Second)
+	ln, err := net.Listen("tcp", addr)
+	for err != nil && time.Now().Before(bindBy) {
+		time.Sleep(5 * time.Millisecond)
+		ln, err = net.Listen("tcp", addr)
+	}
 	if err != nil {
-		return nil, err
+		srv.Close()
+		return "", stats, err
 	}
-	p := &faultProxy{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
-	go p.acceptLoop()
-	return p, nil
+	go func() { _ = srv.Serve(ln) }()
+	f.mu.Lock()
+	f.servers[i] = srv
+	f.mu.Unlock()
+	return ln.Addr().String(), stats, nil
 }
 
-func (p *faultProxy) addr() string { return p.ln.Addr().String() }
-
-func (p *faultProxy) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		if p.killed {
-			p.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		backend, err := net.Dial("tcp", p.target)
-		if err != nil {
-			p.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		p.conns[conn] = struct{}{}
-		p.conns[backend] = struct{}{}
-		p.mu.Unlock()
-		pipe := func(dst, src net.Conn) {
-			_, _ = io.Copy(dst, src)
-			_ = dst.Close()
-			_ = src.Close()
-			p.mu.Lock()
-			delete(p.conns, dst)
-			delete(p.conns, src)
-			p.mu.Unlock()
-		}
-		go pipe(backend, conn)
-		go pipe(conn, backend)
+// stop takes server i down — hard (Kill: no WAL flush, no final
+// snapshot) or gracefully (Close) — and returns its store for an
+// in-memory restart.
+func (f *fleet) stop(i int, hard bool) *kv.Store {
+	f.mu.Lock()
+	srv := f.servers[i]
+	f.mu.Unlock()
+	if hard {
+		srv.Kill()
+	} else {
+		srv.Close()
 	}
+	return srv.Store()
 }
 
-func (p *faultProxy) kill() {
-	p.mu.Lock()
-	p.killed = true
-	for c := range p.conns {
-		_ = c.Close()
+// served sums the keys served by the fleet's current servers.
+func (f *fleet) served() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var n uint64
+	for _, srv := range f.servers {
+		if srv != nil {
+			n += srv.Served()
+		}
 	}
-	p.conns = make(map[net.Conn]struct{})
-	p.mu.Unlock()
+	return n
 }
 
-func (p *faultProxy) restore() {
-	p.mu.Lock()
-	p.killed = false
-	p.mu.Unlock()
-}
-
-// checkConvergence scans every replica of the faulted shard directly
-// (bypassing replica selection) and reports whether they hold identical
-// versions for the whole keyspace — the acceptance check of a recovery
-// run. Exits nonzero on divergence so CI can assert on it.
-func checkConvergence(m *cluster.ShardTopology, realAddrs []string, shard, keys int) {
-	var shardKeys []string
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key:%d", i)
-		if m.ShardOfKey(k) == shard {
-			shardKeys = append(shardKeys, k)
-		}
+// checkReplicas runs netstore.CheckReplicas over the run's keyspace
+// under topo and prints the run's acceptance line under label; it exits
+// nonzero on a violation so CI can assert on it.
+func checkReplicas(label string, topo *cluster.ShardTopology, keys int, acked map[string]netstore.AckedWrite) {
+	ks := make([]string, keys)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("key:%d", i)
 	}
-	if len(shardKeys) == 0 {
-		log.Printf("convergence: shard %d holds no keys; nothing to check", shard)
-		return
-	}
-	var ref []uint64
-	mismatches := 0
-	for r := 0; r < m.Replicas(); r++ {
-		addr := realAddrs[m.Server(shard, r)]
-		vers, _, err := netstore.ScanVersions(context.Background(), addr, shard, shardKeys, 5*time.Second)
-		if err != nil {
-			log.Printf("convergence: scan of replica %d (%s) failed: %v", r, addr, err)
-			os.Exit(1)
-		}
-		if r == 0 {
-			ref = vers
-			continue
-		}
-		for i := range vers {
-			if vers[i] != ref[i] {
-				mismatches++
-				if mismatches <= 5 {
-					log.Printf("convergence: %s diverged: replica 0 v%d, replica %d v%d",
-						shardKeys[i], ref[i], r, vers[i])
-				}
-			}
-		}
-	}
-	if mismatches > 0 {
-		fmt.Printf("convergence: FAILED — %d of %d shard-%d keys diverged across %d replicas\n",
-			mismatches, len(shardKeys), shard, m.Replicas())
+	if err := netstore.CheckReplicas(context.Background(), topo, ks, acked); err != nil {
+		fmt.Printf("%s: FAILED — %v\n", label, err)
 		os.Exit(1)
 	}
-	fmt.Printf("convergence: OK — all %d replicas of shard %d agree on %d key versions\n",
-		m.Replicas(), shard, len(shardKeys))
-}
-
-// checkCrashRecovery is the acceptance scan of a -crash-replica run:
-// the restarted replica must serve every acknowledged write of its
-// shard at at least the version some client saw acked (zero acked-write
-// loss through the hard kill — WAL replay for pre-crash writes, hinted
-// handoff and read-repair for outage writes), and all replicas of the
-// shard must agree on the whole keyspace. Exits nonzero otherwise so CI
-// can assert on it.
-func checkCrashRecovery(m *cluster.ShardTopology, realAddrs []string, server, keys int, acked map[string]uint64) {
-	shard := server / m.Replicas()
-	var shardKeys []string
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key:%d", i)
-		if m.ShardOfKey(k) == shard {
-			shardKeys = append(shardKeys, k)
-		}
-	}
-	if len(shardKeys) == 0 {
-		log.Printf("crash-recovery: shard %d holds no keys; nothing to check", shard)
-		return
-	}
-	victim := server % m.Replicas()
-	ackedChecked, bad := 0, 0
-	var ref []uint64
-	for r := 0; r < m.Replicas(); r++ {
-		addr := realAddrs[m.Server(shard, r)]
-		vers, found, err := netstore.ScanVersions(context.Background(), addr, shard, shardKeys, 5*time.Second)
-		if err != nil {
-			log.Printf("crash-recovery: scan of replica %d (%s) failed: %v", r, addr, err)
-			os.Exit(1)
-		}
-		if r == victim {
-			// The acked floor is checked against the restarted replica
-			// itself, not the shard quorum: this is the server that lost
-			// its memory and must have gotten everything back.
-			for i, k := range shardKeys {
-				floor, ok := acked[k]
-				if !ok {
-					continue
-				}
-				ackedChecked++
-				if !found[i] || vers[i] < floor {
-					bad++
-					if bad <= 5 {
-						log.Printf("crash-recovery: %s acked at v%d but restarted replica serves v%d (found=%v)",
-							k, floor, vers[i], found[i])
-					}
-				}
-			}
-		}
-		if r == 0 {
-			ref = vers
-			continue
-		}
-		for i := range vers {
-			if vers[i] != ref[i] {
-				bad++
-				if bad <= 5 {
-					log.Printf("crash-recovery: %s diverged: replica 0 v%d, replica %d v%d",
-						shardKeys[i], ref[i], r, vers[i])
-				}
-			}
-		}
-	}
-	if bad > 0 {
-		fmt.Printf("crash-recovery: FAILED — %d acked-write losses or divergences across %d shard-%d keys\n",
-			bad, len(shardKeys), shard)
-		os.Exit(1)
-	}
-	fmt.Printf("crash-recovery: OK — restarted replica serves all %d acked writes and all %d replicas of shard %d agree on %d keys\n",
-		ackedChecked, m.Replicas(), shard, len(shardKeys))
-}
-
-// checkOwnerConvergence is the rebalance acceptance scan: after a live
-// AddShard/RemoveShard, every key must be found on every replica of its
-// NEW owner shard with identical versions. Exits nonzero otherwise so
-// CI can assert on it.
-func checkOwnerConvergence(t *cluster.ShardTopology, keys int) {
-	byShard := map[int][]string{}
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key:%d", i)
-		byShard[t.ShardOfKey(k)] = append(byShard[t.ShardOfKey(k)], k)
-	}
-	bad := 0
-	for sh, ks := range byShard {
-		var ref []uint64
-		for r := 0; r < t.Replicas(); r++ {
-			addr := t.Addr(t.Server(sh, r))
-			vers, found, err := netstore.ScanVersions(context.Background(), addr, sh, ks, 5*time.Second)
-			if err != nil {
-				log.Printf("rebalance scan: shard %d replica %d (%s): %v", sh, r, addr, err)
-				os.Exit(1)
-			}
-			for i, k := range ks {
-				if !found[i] {
-					bad++
-					if bad <= 5 {
-						log.Printf("rebalance scan: %s missing on owner shard %d replica %d", k, sh, r)
-					}
-				}
-			}
-			if r == 0 {
-				ref = vers
-				continue
-			}
-			for i, k := range ks {
-				if vers[i] != ref[i] {
-					bad++
-					if bad <= 5 {
-						log.Printf("rebalance scan: %s diverged on shard %d: v%d vs v%d", k, sh, ref[i], vers[i])
-					}
-				}
-			}
-		}
-	}
-	if bad > 0 {
-		fmt.Printf("rebalance: FAILED — %d ownership/version violations across %d keys (epoch %d)\n",
-			bad, keys, t.Epoch())
-		os.Exit(1)
-	}
-	fmt.Printf("rebalance: OK — epoch %d, every one of %d keys on its owner with all %d replicas agreeing\n",
-		t.Epoch(), keys, t.Replicas())
+	fmt.Printf("%s: OK — epoch %d, every one of %d keys agrees across all %d replicas of its owner shard, none below its acked version (%d acked)\n",
+		label, topo.Epoch(), keys, topo.Replicas(), len(acked))
 }
 
 func fmtBytes(n uint64) string {

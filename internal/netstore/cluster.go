@@ -256,6 +256,10 @@ type Cluster struct {
 	// targets; a churning-keyspace writer would want an eviction bound
 	// here (read-repair triggering is best-effort anyway).
 	written sync.Map // string -> uint64
+	// deleted records the version of the newest delete this client had
+	// acknowledged per key; a key's newest acked write was a delete iff
+	// it equals written. Only deletes touch it.
+	deleted sync.Map // string -> uint64
 
 	// versions stamps writes; servers apply them last-writer-wins.
 	versions versionClock
@@ -875,7 +879,10 @@ func (a *writeAttempt) drain(ctx context.Context, cancel context.CancelFunc) {
 // interleaving that leaves a pre-write value servable once this ack
 // returns.
 func (c *Cluster) writeAcked(op *writeOp) {
-	c.raiseWritten(op.key, op.ver)
+	raiseFloor(&c.written, op.key, op.ver)
+	if op.del {
+		raiseFloor(&c.deleted, op.key, op.ver)
+	}
 	if c.cache != nil {
 		c.cache.invalidate(op.key)
 	}
@@ -900,37 +907,50 @@ func (c *Cluster) topUpOwners(ctx context.Context, st *topoState, op *writeOp) {
 	}
 }
 
-// raiseWritten raises the client's written-version floor for a key,
-// never lowering it: two concurrent Sets acking out of order must leave
-// the floor at the NEWER version, or the hot-key cache could serve the
-// older write after the newer one was acknowledged (the floor is what
-// cacheServe checks) and read-repair would chase the wrong target.
-func (c *Cluster) raiseWritten(key string, ver uint64) {
+// raiseFloor raises a per-key version floor (the written and deleted
+// records), never lowering it: two concurrent Sets acking out of order
+// must leave the written floor at the NEWER version, or the hot-key
+// cache could serve the older write after the newer one was
+// acknowledged (the floor is what cacheServe checks) and read-repair
+// would chase the wrong target.
+func raiseFloor(m *sync.Map, key string, ver uint64) {
 	for {
-		cur, ok := c.written.Load(key)
+		cur, ok := m.Load(key)
 		if ok {
 			if cur.(uint64) >= ver {
 				return
 			}
-			if c.written.CompareAndSwap(key, cur, ver) {
+			if m.CompareAndSwap(key, cur, ver) {
 				return
 			}
-		} else if _, loaded := c.written.LoadOrStore(key, ver); !loaded {
+		} else if _, loaded := m.LoadOrStore(key, ver); !loaded {
 			return
 		}
 	}
 }
 
-// WrittenVersion returns the highest version this client has had
-// acknowledged for key (false if it never wrote it). Crash-recovery
-// harnesses use it as the ground truth for "acked": a restarted replica
-// must serve every key at at least this version.
-func (c *Cluster) WrittenVersion(key string) (uint64, bool) {
+// AckedWrite is the newest write a client had acknowledged on one key:
+// its version, and whether it was a delete.
+type AckedWrite struct {
+	Version uint64
+	Delete  bool
+}
+
+// LastWrite returns the newest write this client has had acknowledged
+// on key (false if it never wrote it). Crash-recovery harnesses use it
+// as the ground truth for "acked": a restarted replica must serve every
+// key at at least this version, and at exactly this version as a value
+// for a Set or as a tombstone for a Delete (see CheckReplicas).
+func (c *Cluster) LastWrite(key string) (AckedWrite, bool) {
 	v, ok := c.written.Load(key)
 	if !ok {
-		return 0, false
+		return AckedWrite{}, false
 	}
-	return v.(uint64), true
+	w := AckedWrite{Version: v.(uint64)}
+	if d, ok := c.deleted.Load(key); ok {
+		w.Delete = d.(uint64) == w.Version
+	}
+	return w, true
 }
 
 // Get reads a single key through the batched pipeline (found=false for

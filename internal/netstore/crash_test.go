@@ -47,27 +47,18 @@ func startDurable(t *testing.T, shard int, dir, listenAddr string) (*Server, str
 	return srv, ln.Addr().String(), stats
 }
 
-// waitUntil polls cond to true within 10s — convergence waits that
-// depend on probe/hint goroutines, not on fixed sleeps.
-func waitUntil(t *testing.T, what string, cond func() bool) {
+// waitReplicas polls CheckReplicas until it passes within 10s and
+// fails the test with its last verdict otherwise — convergence that
+// depends on probe and hint goroutines, not on fixed sleeps.
+func waitReplicas(t *testing.T, topo *cluster.ShardTopology, keys []string, acked map[string]AckedWrite) {
 	t.Helper()
-	testutil.Eventually(t, 10*time.Second, what, cond)
-}
-
-// scanAtLeast reports whether addr serves every key of shard at a
-// version ≥ wantVer[key] (non-fatal form of checkOwnerConvergence's
-// per-replica check, for polling).
-func scanAtLeast(addr string, shard int, keys []string, wantVer map[string]uint64) bool {
-	vers, _, err := ScanVersions(bg, addr, shard, keys, 2*time.Second)
-	if err != nil {
-		return false
+	var err error
+	if !testutil.Poll(10*time.Second, func() bool {
+		err = CheckReplicas(bg, topo, keys, acked)
+		return err == nil
+	}) {
+		t.Fatalf("replicas did not converge: %v", err)
 	}
-	for i, k := range keys {
-		if vers[i] < wantVer[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCrashRecoveryUniform is the strict per-replica durability claim:
@@ -111,11 +102,11 @@ func TestCrashRecoveryUniform(t *testing.T) {
 		deleted[keys[i]] = true
 	}
 	for _, k := range keys {
-		v, ok := c.WrittenVersion(k)
+		w, ok := c.LastWrite(k)
 		if !ok {
 			t.Fatalf("no acked version recorded for %s", k)
 		}
-		acked[k] = v
+		acked[k] = w.Version
 	}
 
 	victim := 0
@@ -136,7 +127,7 @@ func TestCrashRecoveryUniform(t *testing.T) {
 	if len(mine) == 0 {
 		t.Fatal("no key hashed to the victim shard; test covers nothing")
 	}
-	vers, found, err := ScanVersions(bg, addr, victim, mine, 5*time.Second)
+	vers, found, err := scanVersions(bg, addr, victim, mine, 5*time.Second)
 	if err != nil {
 		t.Fatalf("scan restarted server: %v", err)
 	}
@@ -172,7 +163,8 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		if err := c.Set(bg, keys[i], []byte("v"), WriteOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		acked[keys[i]], _ = c.WrittenVersion(keys[i])
+		w, _ := c.LastWrite(keys[i])
+		acked[keys[i]] = w.Version
 	}
 	c.Close()
 	srv.Kill()
@@ -204,7 +196,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if stats.CorruptRecords == 0 {
 		t.Fatal("torn tail not detected at replay")
 	}
-	vers, found, err := ScanVersions(bg, addr2, 0, keys, 5*time.Second)
+	vers, found, err := scanVersions(bg, addr2, 0, keys, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +250,11 @@ func TestCrashRecoveryWithHints(t *testing.T) {
 		t.Fatal("victim replayed nothing")
 	}
 
-	waitUntil(t, "victim revival", func() bool { return !c.ReplicaDown(0, 1) })
-	acked := map[string]uint64{}
-	for _, k := range keys {
-		acked[k], _ = c.WrittenVersion(k)
-	}
-	waitUntil(t, "hint replay convergence on the restarted replica", func() bool {
-		return scanAtLeast(addrs[victim], 0, keys, acked)
-	})
-	checkOwnerConvergence(t, mustWithAddrs(t, m, addrs), keys, acked)
+	waitFor(t, 10*time.Second, "victim revival", func() bool { return !c.ReplicaDown(0, 1) })
+	// Hint replay brings the restarted replica up to every acked write.
+	// Every write here is a Set acked without error, so each key must be
+	// present on both replicas at its acked version.
+	waitReplicas(t, mustWithAddrs(t, m, addrs), keys, writtenFloors(c, keys))
 }
 
 // TestCrashRecoveryMidRebalance kills a durable migration donor while
@@ -338,24 +326,10 @@ func TestCrashRecoveryMidRebalance(t *testing.T) {
 		t.Fatalf("re-push topology after restart: %v", err)
 	}
 
-	acked := map[string]uint64{}
-	for _, k := range keys {
-		acked[k], _ = c.WrittenVersion(k)
-	}
-	// Every key on every replica of its (possibly new) owner shard, at
-	// at least its acked version.
-	waitUntil(t, "post-rebalance convergence", func() bool {
-		for _, k := range keys {
-			sh := grown.ShardOfKey(k)
-			for r := 0; r < grown.Replicas(); r++ {
-				if !scanAtLeast(grown.Addr(grown.Server(sh, r)), sh, []string{k}, acked) {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	checkOwnerConvergence(t, grown, keys, acked)
+	// Every key present on every replica of its (possibly new) owner
+	// shard at its acked version: every write is an acked Set, so a
+	// tombstone or a gap where a Set was acked fails the check.
+	waitReplicas(t, grown, keys, writtenFloors(c, keys))
 }
 
 // TestDurableServerGracefulClose asserts the Close path flushes and
@@ -387,7 +361,7 @@ func TestDurableServerGracefulClose(t *testing.T) {
 	if stats.SnapshotEntries != 40 {
 		t.Fatalf("snapshot restored %d entries, want 40", stats.SnapshotEntries)
 	}
-	_, found, err := ScanVersions(bg, addr2, 0, []string{"g:0", "g:39"}, 5*time.Second)
+	_, found, err := scanVersions(bg, addr2, 0, []string{"g:0", "g:39"}, 5*time.Second)
 	if err != nil || !found[0] || !found[1] {
 		t.Fatalf("data missing after graceful restart: found=%v err=%v", found, err)
 	}

@@ -38,47 +38,6 @@ func startShardServers(t *testing.T, shardID, n int) []string {
 	return addrs
 }
 
-// checkOwnerConvergence scans, for every key, ALL replicas of its owner
-// shard under topo and asserts they are found with identical versions
-// at least wantVer[key] — the "every key lands on exactly its new
-// owner, zero lost writes" acceptance check.
-func checkOwnerConvergence(t *testing.T, topo *cluster.ShardTopology, keys []string, wantVer map[string]uint64) {
-	t.Helper()
-	byShard := map[int][]string{}
-	for _, k := range keys {
-		sh := topo.ShardOfKey(k)
-		byShard[sh] = append(byShard[sh], k)
-	}
-	for sh, ks := range byShard {
-		var ref []uint64
-		for r := 0; r < topo.Replicas(); r++ {
-			addr := topo.Addr(topo.Server(sh, r))
-			vers, found, err := ScanVersions(bg, addr, sh, ks, 5*time.Second)
-			if err != nil {
-				t.Fatalf("scan shard %d replica %d (%s): %v", sh, r, addr, err)
-			}
-			for i, k := range ks {
-				if !found[i] {
-					t.Fatalf("key %s missing on its owner shard %d replica %d", k, sh, r)
-				}
-				if want := wantVer[k]; want != 0 && vers[i] < want {
-					t.Fatalf("key %s on shard %d replica %d has version %d < last acked %d (lost write)",
-						k, sh, r, vers[i], want)
-				}
-			}
-			if r == 0 {
-				ref = vers
-				continue
-			}
-			for i, k := range ks {
-				if vers[i] != ref[i] {
-					t.Fatalf("key %s diverged on shard %d: replica 0 v%d, replica %d v%d", k, sh, ref[i], r, vers[i])
-				}
-			}
-		}
-	}
-}
-
 // TestClusterLiveAddShard is the tentpole scenario: 3 shards serving
 // concurrent reads and writes, a 4th shard added mid-run, and afterward
 // every key lives on exactly its new owner with zero lost acknowledged
@@ -233,9 +192,12 @@ func TestClusterLiveAddShard(t *testing.T) {
 	}
 
 	// Convergence: every key on exactly its new owner, all replicas
-	// agreeing. (Write versions are internal to the client, so the scan
-	// asserts found + replica agreement.)
-	checkOwnerConvergence(t, grown, allKeys, nil)
+	// agreeing, none below the version the client last had acked. Every
+	// key is an acked Set, so a key missing or tombstoned on an owner
+	// replica fails too.
+	if err := CheckReplicas(bg, grown, allKeys, writtenFloors(c, allKeys)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestClusterLiveRemoveShard drains a shard under load: its keys
@@ -331,12 +293,14 @@ func TestClusterLiveRemoveShard(t *testing.T) {
 			t.Fatalf("%s wrong after removal: found=%v val=%q", k, res.Found[i], res.Values[i])
 		}
 	}
-	checkOwnerConvergence(t, shrunk, allKeys, nil)
+	if err := CheckReplicas(bg, shrunk, allKeys, writtenFloors(c, allKeys)); err != nil {
+		t.Fatal(err)
+	}
 
 	// The retired shard's servers hold the new topology and own nothing:
 	// direct scans there must be rejected, proving reads can no longer
 	// land on the drained shard.
-	if _, _, err := ScanVersions(bg, topo.Addr(topo.Server(victim, 0)), victim, allKeys[:1], time.Second); err == nil {
+	if _, _, err := scanVersions(bg, topo.Addr(topo.Server(victim, 0)), victim, allKeys[:1], time.Second); err == nil {
 		t.Fatal("retired server still serves reads for its old shard")
 	}
 }

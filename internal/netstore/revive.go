@@ -41,9 +41,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
+	"github.com/brb-repro/brb/internal/cluster"
 	"github.com/brb-repro/brb/internal/wire"
 )
 
@@ -544,15 +546,14 @@ func (c *Cluster) repairKey(shard, staleRep int, key string) {
 	_ = c.repairWrite(sc, key, bestVal, bestVer, bestDel, rt)
 }
 
-// ScanVersions dials one server directly (bypassing replica selection)
+// scanVersions dials one server directly (bypassing replica selection)
 // and reads the stored versions of keys from it, bounded by ctx and
-// timeout (earliest wins). Operations and fault-injection tooling
-// (`brb-load -kill-replica`) use it to check that the replicas of a
-// shard have version-converged after recovery; shard is the server's
-// shard group (shard-checking servers reject mismatches, and
+// timeout (earliest wins). A tombstone reads as its version with
+// found=false; a key never written reads as version 0. shard is the
+// server's shard group (shard-checking servers reject mismatches, and
 // topology-holding servers reject keys they do not own — scan only keys
-// the target owns).
-func ScanVersions(ctx context.Context, addr string, shard int, keys []string, timeout time.Duration) (versions []uint64, found []bool, err error) {
+// the target owns). CheckReplicas builds on it.
+func scanVersions(ctx context.Context, addr string, shard int, keys []string, timeout time.Duration) (versions []uint64, found []bool, err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -590,4 +591,84 @@ func ScanVersions(ctx context.Context, addr string, shard int, keys []string, ti
 		return nil, nil, fmt.Errorf("netstore: scan of %s returned %d versions for %d keys", addr, len(resp.Versions), len(keys))
 	}
 	return resp.Versions, resp.Found, nil
+}
+
+// CheckReplicas is the post-recovery acceptance check. It scans every
+// replica of each key's owner shard under topo directly (no replica
+// selection, no repair) and fails when the replicas disagree on a key's
+// version or presence, or when a replica breaks a key's acked write: a
+// key in acked must be held at at least its acked version (missing
+// everywhere is a violation too), and at exactly that version it must
+// be what the write left — a value for a Set, a tombstone for a Delete.
+// So a delete acked at the floor holds the write, while a Set that comes
+// back as a tombstone at its own version is a loss. Above the floor
+// either is fine: an unacknowledged write may have landed. It returns
+// nil on success, an error counting the violating keys and describing
+// the first few, or the scan error when a replica cannot be read.
+func CheckReplicas(ctx context.Context, topo *cluster.ShardTopology, keys []string, acked map[string]AckedWrite) error {
+	byShard := map[int][]string{}
+	for _, k := range keys {
+		sh := topo.ShardOfKey(k)
+		byShard[sh] = append(byShard[sh], k)
+	}
+	violations := 0
+	var first []string
+	for _, sh := range topo.ShardIDs() {
+		ks := byShard[sh]
+		if len(ks) == 0 {
+			continue
+		}
+		vers := make([][]uint64, topo.Replicas())
+		found := make([][]bool, topo.Replicas())
+		for r := range vers {
+			addr := topo.Addr(topo.Server(sh, r))
+			var err error
+			if vers[r], found[r], err = scanVersions(ctx, addr, sh, ks, 5*time.Second); err != nil {
+				return fmt.Errorf("scan of shard %d replica %d (%s): %w", sh, r, addr, err)
+			}
+		}
+		for i, k := range ks {
+			floor, isAcked := acked[k]
+			bad := false
+			for r := range vers {
+				if vers[r][i] != vers[0][i] || found[r][i] != found[0][i] {
+					bad = true
+				}
+				if isAcked && (vers[r][i] == 0 || vers[r][i] < floor.Version ||
+					vers[r][i] == floor.Version && found[r][i] == floor.Delete) {
+					bad = true
+				}
+			}
+			if !bad {
+				continue
+			}
+			violations++
+			if len(first) < 5 {
+				held := make([]string, len(vers))
+				for r := range vers {
+					switch {
+					case found[r][i]:
+						held[r] = fmt.Sprintf("r%d v%d", r, vers[r][i])
+					case vers[r][i] > 0:
+						held[r] = fmt.Sprintf("r%d deleted v%d", r, vers[r][i])
+					default:
+						held[r] = fmt.Sprintf("r%d missing", r)
+					}
+				}
+				d := fmt.Sprintf("%s on shard %d: %s", k, sh, strings.Join(held, ", "))
+				switch {
+				case isAcked && floor.Delete:
+					d += fmt.Sprintf(" (acked delete v%d)", floor.Version)
+				case isAcked:
+					d += fmt.Sprintf(" (acked v%d)", floor.Version)
+				}
+				first = append(first, d)
+			}
+		}
+	}
+	if violations > 0 {
+		return fmt.Errorf("%d of %d keys violate replica agreement or their acked floor: %s",
+			violations, len(keys), strings.Join(first, "; "))
+	}
+	return nil
 }
